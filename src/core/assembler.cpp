@@ -7,20 +7,21 @@ namespace spi::core {
 
 namespace {
 
-/// One Writer per thread, reused across messages: after the first few
-/// envelopes its buffers reach high-water capacity and the pack path does
-/// no per-message allocation beyond the returned envelope string.
-/// thread_local because an Assembler is shared across client threads.
-xml::Writer& scratch_writer(size_t capacity_hint) {
+/// One Writer per thread, reused across messages for its open-tag stack.
+/// Its output buffer IS the envelope: open_envelope() writes the framing
+/// and header blocks, the wire layer writes the body after them, and
+/// take() hands the buffer to the caller. Each message therefore
+/// allocates one string, sized up front, and no payload byte is copied
+/// after it is escaped. thread_local because an Assembler is shared
+/// across client threads.
+xml::Writer& envelope_writer() {
   thread_local xml::Writer writer;
-  writer.reset();
-  writer.reserve(capacity_hint);
   return writer;
 }
 
 }  // namespace
 
-std::string Assembler::finish_envelope(std::string_view body_inner) {
+xml::Writer& Assembler::open_envelope(size_t body_capacity_hint) {
   envelopes_.fetch_add(1, std::memory_order_relaxed);
   // The thread's active trace (telemetry/trace.hpp) rides along as a
   // spi:Trace header block: clients inject it, servers echo it.
@@ -35,18 +36,15 @@ std::string Assembler::finish_envelope(std::string_view body_inner) {
     deadline_header =
         deadline->to_header_block(RealClock::instance().now());
   }
-  if (wsse_ || trace || !deadline_header.empty()) {
-    std::vector<std::string> headers;
-    if (wsse_) {
-      headers.push_back(wsse_->make_header_block(soap::iso8601_now()));
-    }
-    if (trace) headers.push_back(trace->to_header_block());
-    if (!deadline_header.empty()) {
-      headers.push_back(std::move(deadline_header));
-    }
-    return soap::build_envelope(body_inner, headers);
-  }
-  return soap::build_envelope(body_inner);
+  std::vector<std::string> headers;
+  if (wsse_) headers.push_back(wsse_->make_header_block(soap::iso8601_now()));
+  if (trace) headers.push_back(trace->to_header_block());
+  if (!deadline_header.empty()) headers.push_back(std::move(deadline_header));
+  xml::Writer& writer = envelope_writer();
+  writer.reset();
+  writer.reserve(soap::envelope_capacity(body_capacity_hint, headers));
+  soap::open_envelope(writer, headers);
+  return writer;
 }
 
 std::string Assembler::assemble_request(std::span<const ServiceCall> calls,
@@ -70,16 +68,16 @@ std::string Assembler::assemble_request(std::span<const ServiceCall> calls,
   calls_.fetch_add(calls.size(), std::memory_order_relaxed);
   if (packed) {
     packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    xml::Writer& writer = scratch_writer(wire::estimate_request_bytes(calls));
+    xml::Writer& writer = open_envelope(wire::estimate_request_bytes(calls));
     wire::write_packed_request(writer, calls);
-    std::string envelope = finish_envelope(writer.str());
+    std::string envelope = writer.take();
     pack_cost_.charge(envelope.size(), calls.size());
     return envelope;
   }
   xml::Writer& writer =
-      scratch_writer(wire::estimate_request_bytes(calls.subspan(0, 1)));
+      open_envelope(wire::estimate_request_bytes(calls.subspan(0, 1)));
   wire::write_single_request(writer, calls.front());
-  return finish_envelope(writer.str());
+  return writer.take();
 }
 
 std::string Assembler::assemble_plan(const RemotePlan& plan) {
@@ -88,7 +86,9 @@ std::string Assembler::assemble_plan(const RemotePlan& plan) {
   }
   calls_.fetch_add(plan.steps.size(), std::memory_order_relaxed);
   packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-  std::string envelope = finish_envelope(wire::serialize_plan_request(plan));
+  xml::Writer& writer = open_envelope(0);
+  write_plan(writer, plan);
+  std::string envelope = writer.take();
   pack_cost_.charge(envelope.size(), plan.steps.size());
   return envelope;
 }
@@ -103,9 +103,9 @@ std::string Assembler::assemble_response(
   if (packed) {
     packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
     xml::Writer& writer =
-        scratch_writer(wire::estimate_response_bytes(outcomes));
+        open_envelope(wire::estimate_response_bytes(outcomes));
     wire::write_packed_response(writer, outcomes);
-    std::string envelope = finish_envelope(writer.str());
+    std::string envelope = writer.take();
     pack_cost_.charge(envelope.size(), outcomes.size());
     return envelope;
   }
@@ -114,9 +114,9 @@ std::string Assembler::assemble_response(
                    "traditional response with multiple outcomes");
   }
   xml::Writer& writer =
-      scratch_writer(wire::estimate_response_bytes(outcomes.subspan(0, 1)));
+      open_envelope(wire::estimate_response_bytes(outcomes.subspan(0, 1)));
   wire::write_single_response(writer, single_call, outcomes.front().outcome);
-  return finish_envelope(writer.str());
+  return writer.take();
 }
 
 Assembler::Stats Assembler::stats() const {

@@ -67,7 +67,12 @@ class Assembler {
                     std::string_view side);
 
  private:
-  std::string finish_envelope(std::string_view body_inner);
+  /// Counts one envelope, gathers its header blocks (WS-Security, the
+  /// ambient trace and deadline) and returns this thread's Writer holding
+  /// the envelope framing, positioned inside SOAP-ENV:Body with room for
+  /// `body_capacity_hint` body bytes. The caller writes the body entries
+  /// and take()s the finished envelope.
+  xml::Writer& open_envelope(size_t body_capacity_hint);
 
   soap::WsseTokenFactory* wsse_;
   PackCostModel pack_cost_;

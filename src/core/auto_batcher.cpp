@@ -127,10 +127,10 @@ void AutoBatcher::send_batch(std::vector<PendingCall> batch,
         std::move(calls), PackMode::kAuto,
         [this, shipped, timer_triggered](SpiClient::PackedResult result) {
           complete_batch(*shipped, timer_triggered, std::move(result));
-          {
-            std::lock_guard lock(mutex_);
-            --outstanding_async_;
-          }
+          // Notify under the lock: shutdown() may return, and the batcher
+          // be destroyed, the moment it reads zero outstanding batches.
+          std::lock_guard lock(mutex_);
+          --outstanding_async_;
           flush_done_.notify_all();
         });
     return;

@@ -50,11 +50,16 @@ struct SpiClient::AsyncExchange
 
   // --- current round ------------------------------------------------------
   std::uint64_t round_seq = 0;        // bumped per round; guards callbacks
-  std::vector<ServiceCall> round_calls;
+  // The calls this round ships: the caller's batch itself in the first
+  // round, the re-pack subset afterwards. Never a copy of `calls`.
+  std::span<const ServiceCall> round_calls;
+  std::vector<ServiceCall> repack_calls;  // kRepack: failed sub-calls
   std::vector<size_t> round_slots;    // kRepack: outcome slot per round call
   PackMode round_mode = PackMode::kPacked;
   bool round_idempotent = false;
-  http::Request round_request;        // kept so the hedge resends it verbatim
+  // Only a round that may hedge keeps a copy of its request, for the
+  // hedge leg to resend verbatim; the primary leg gets the original.
+  http::Request hedge_request;
   Duration round_timeout = kNoTimeout;
   Duration round_retry_after = Duration::zero();
   TimePoint round_start{};
@@ -174,35 +179,34 @@ struct SpiClient::AsyncExchange
     // receive timeout clamped by the remaining deadline budget.
     round_timeout = min_timeout(client->options_.receive_timeout,
                                 deadline.remaining_or_unbounded(now));
-    round_request = std::move(request);
     round_start = now;
 
+    std::optional<Duration> hedge_delay = round_hedge_delay();
+    hedge_request = hedge_delay ? request : http::Request{};
     auto self = shared_from_this();
     std::uint64_t seq = round_seq;
     primary_id = http->send(
-        client->server_, round_request, round_timeout,
+        client->server_, std::move(request), round_timeout,
         [self, seq](Result<http::Response> r) {
           self->on_leg(seq, /*is_hedge=*/false, std::move(r));
         });
 
-    maybe_arm_hedge();
+    if (hedge_delay) {
+      hedge_timer = http->reactor().schedule(
+          *hedge_delay, [self, seq] { self->fire_hedge(seq); });
+    }
   }
 
-  void maybe_arm_hedge() {
+  // After how long this round should hedge, or nullopt when it must not.
+  std::optional<Duration> round_hedge_delay() const {
     // Hedge only rounds whose EVERY call is idempotent (the server may
     // execute both legs), and only while the breaker is fully closed —
     // half-open probe slots are for real traffic, not speculation.
-    if (!round_idempotent) return;
+    if (!round_idempotent) return std::nullopt;
     if (breaker && breaker->state() != resilience::BreakerState::kClosed) {
-      return;
+      return std::nullopt;
     }
-    auto delay = client->hedge_policy_.delay();
-    if (!delay) return;
-
-    auto self = shared_from_this();
-    std::uint64_t seq = round_seq;
-    hedge_timer = http->reactor().schedule(
-        *delay, [self, seq] { self->fire_hedge(seq); });
+    return client->hedge_policy_.delay();
   }
 
   void fire_hedge(std::uint64_t seq) {
@@ -220,7 +224,7 @@ struct SpiClient::AsyncExchange
                                    deadline.remaining_or_unbounded(now));
     auto self = shared_from_this();
     hedge_id = http->send(
-        client->server_, round_request, timeout,
+        client->server_, std::move(hedge_request), timeout,
         [self, seq](Result<http::Response> r) {
           self->on_leg(seq, /*is_hedge=*/true, std::move(r));
         });
@@ -359,7 +363,8 @@ struct SpiClient::AsyncExchange
     ++attempts;
     client->partial_repacks_.fetch_add(1, std::memory_order_relaxed);
 
-    round_calls = std::move(subset);
+    repack_calls = std::move(subset);
+    round_calls = repack_calls;
     round_slots = std::move(failed);
     round_mode = mode == PackMode::kSingle ? PackMode::kSingle
                                            : PackMode::kPacked;
@@ -411,11 +416,11 @@ struct SpiClient::AsyncExchange
     completed = true;
     done(std::move(result), max_retry_after);
     // Decrement AFTER the callback: ~SpiClient waits for zero so no
-    // callback ever touches a dead client.
-    {
-      std::lock_guard lock(client->async_mutex_);
-      client->async_inflight_.fetch_sub(1, std::memory_order_release);
-    }
+    // callback ever touches a dead client. Notify under the lock: the
+    // destructor may return the moment it sees zero, and an unlocked
+    // notify would touch a dead condition variable (see WaitGroup::done).
+    std::lock_guard lock(client->async_mutex_);
+    client->async_inflight_.fetch_sub(1, std::memory_order_release);
     client->async_cv_.notify_all();
   }
 };

@@ -99,8 +99,7 @@ Result<soap::Value> resolve_result_path(const soap::Value& value,
   return *cursor;
 }
 
-std::string serialize_plan(const RemotePlan& plan) {
-  xml::Writer writer;
+void write_plan(xml::Writer& writer, const RemotePlan& plan) {
   writer.start_element("spi:Remote_Execution");
   for (size_t i = 0; i < plan.steps.size(); ++i) {
     const PlanStep& step = plan.steps[i];
@@ -128,6 +127,11 @@ std::string serialize_plan(const RemotePlan& plan) {
     writer.end_element();
   }
   writer.end_element();
+}
+
+std::string serialize_plan(const RemotePlan& plan) {
+  xml::Writer writer;
+  write_plan(writer, plan);
   return writer.take();
 }
 

@@ -29,6 +29,7 @@
 #include "core/call.hpp"
 #include "core/registry.hpp"
 #include "xml/parser.hpp"
+#include "xml/writer.hpp"
 
 namespace spi::core {
 
@@ -98,6 +99,9 @@ Result<soap::Value> resolve_result_path(const soap::Value& value,
 
 /// Serializes a plan as a <spi:Remote_Execution> body entry.
 std::string serialize_plan(const RemotePlan& plan);
+
+/// Appending variant: writes the same body entry into `writer`.
+void write_plan(xml::Writer& writer, const RemotePlan& plan);
 
 /// Parses a Remote_Execution body element back into a plan (validated).
 Result<RemotePlan> parse_plan(const xml::Element& element);

@@ -408,7 +408,9 @@ void write_packed_response(xml::Writer& writer,
 size_t estimate_response_bytes(std::span<const IndexedOutcome> outcomes) {
   size_t bytes = 64;  // Parallel_Response wrapper
   for (const IndexedOutcome& indexed : outcomes) {
-    bytes += 80;
+    // <spi:CallResponse id="N"><return xsi:type="..."> plus both end tags
+    // is 82 bytes + the id's digits: with a 10-digit id, still under 96.
+    bytes += 96;
     if (indexed.outcome.ok()) {
       bytes += indexed.outcome.value().payload_bytes();
     } else {

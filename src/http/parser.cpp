@@ -86,7 +86,39 @@ MessageParser::MessageParser(Mode mode, ParserLimits limits)
 
 void MessageParser::feed(std::string_view bytes) {
   if (failed_) return;
-  buffer_.append(bytes);
+  // Body bytes with nothing buffered ahead of them go straight into the
+  // message body: one copy, no staging in buffer_. The rest (headers, a
+  // chunk's CRLF, a pipelined successor) is buffered for advance().
+  if (buffer_.empty()) bytes.remove_prefix(append_body(bytes));
+  if (!bytes.empty()) buffer_.append(bytes);
+}
+
+std::string& MessageParser::body() {
+  return mode_ == Mode::kRequest ? request_.body : response_.body;
+}
+
+size_t MessageParser::append_body(std::string_view bytes) {
+  size_t* remaining = nullptr;
+  if (state_ == State::kBody) {
+    remaining = &body_remaining_;
+  } else if (state_ == State::kChunkData) {
+    remaining = &chunk_remaining_;
+  } else {
+    return 0;
+  }
+  const size_t take = std::min(*remaining, bytes.size());
+  if (take == 0) return 0;
+  std::string& out = body();
+  // A Content-Length body is sized once, at its first byte: the length
+  // already passed max_body_bytes, and a peer that sends headers and then
+  // stalls never gets the allocation. Chunked bodies grow geometrically.
+  if (state_ == State::kBody && out.empty()) out.reserve(body_remaining_);
+  out.append(bytes.data(), take);
+  *remaining -= take;
+  if (state_ == State::kBody && body_remaining_ == 0) {
+    state_ = State::kComplete;
+  }
+  return take;
 }
 
 void MessageParser::fail(std::string message) {
@@ -255,12 +287,7 @@ bool MessageParser::advance() {
     }
     case State::kBody: {
       if (buffer_.empty()) return false;
-      std::string& body =
-          mode_ == Mode::kRequest ? request_.body : response_.body;
-      size_t take = std::min(body_remaining_, buffer_.size());
-      body += buffer_.read_string(take);
-      body_remaining_ -= take;
-      if (body_remaining_ == 0) state_ = State::kComplete;
+      buffer_.consume(append_body(buffer_.view()));
       return true;
     }
     case State::kChunkSize: {
@@ -273,9 +300,7 @@ bool MessageParser::advance() {
         fail("invalid chunk size '" + *line + "'");
         return false;
       }
-      std::string& body =
-          mode_ == Mode::kRequest ? request_.body : response_.body;
-      if (body.size() + *size > limits_.max_body_bytes) {
+      if (body().size() + *size > limits_.max_body_bytes) {
         fail("chunked body exceeds size limit");
         return false;
       }
@@ -285,13 +310,7 @@ bool MessageParser::advance() {
     }
     case State::kChunkData: {
       if (buffer_.empty()) return false;
-      std::string& body =
-          mode_ == Mode::kRequest ? request_.body : response_.body;
-      if (chunk_remaining_ > 0) {
-        size_t take = std::min(chunk_remaining_, buffer_.size());
-        body += buffer_.read_string(take);
-        chunk_remaining_ -= take;
-      }
+      buffer_.consume(append_body(buffer_.view()));
       if (chunk_remaining_ == 0) {
         if (buffer_.size() < 2) return false;
         if (buffer_.view().substr(0, 2) != "\r\n") {

@@ -52,7 +52,9 @@ class MessageParser {
 
   explicit MessageParser(Mode mode, ParserLimits limits = {});
 
-  /// Appends raw bytes from the transport.
+  /// Appends raw bytes from the transport. Body bytes arriving with
+  /// nothing buffered ahead of them are copied straight into the message
+  /// body, so each body byte is copied once.
   void feed(std::string_view bytes);
 
   /// True once a framing error has been detected; parsing cannot continue
@@ -90,6 +92,12 @@ class MessageParser {
   bool on_headers_complete();
   void fail(std::string message);
   std::optional<std::string> take_line();
+  /// The in-progress message's body.
+  std::string& body();
+  /// Moves the leading bytes of `bytes` that belong to the current
+  /// Content-Length body or chunk into body(); returns how many it took
+  /// (0 outside body states).
+  size_t append_body(std::string_view bytes);
 
   Mode mode_;
   ParserLimits limits_;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "common/logging.hpp"
 
@@ -60,6 +61,20 @@ class Fd {
  private:
   std::atomic<int> fd_{-1};
 };
+
+/// Receive staging shared by every connection a thread serves, grown to
+/// the largest max_bytes asked for and never zero-filled: a receive that
+/// finds no data allocates nothing, and one that does allocates only the
+/// bytes that arrived.
+char* receive_staging(size_t max_bytes) {
+  thread_local std::unique_ptr<char[]> buffer;
+  thread_local size_t capacity = 0;
+  if (capacity < max_bytes) {
+    buffer = std::make_unique_for_overwrite<char[]>(max_bytes);
+    capacity = max_bytes;
+  }
+  return buffer.get();
+}
 
 Status set_fd_nonblocking(int fd, bool enabled) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -113,29 +128,7 @@ class TcpConnection final : public Connection {
   }
 
   Result<std::string> receive(size_t max_bytes) override {
-    if (max_bytes == 0) {
-      return Error(ErrorCode::kInvalidArgument, "receive(0)");
-    }
-    std::string buffer(max_bytes, '\0');
-    while (true) {
-      ssize_t n = ::recv(fd_.get(), buffer.data(), buffer.size(), 0);
-      if (n > 0) {
-        buffer.resize(static_cast<size_t>(n));
-        stats_->on_receive(buffer.size());
-        return buffer;
-      }
-      if (n == 0) {
-        return Error(ErrorCode::kConnectionClosed, "peer closed connection");
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Error(ErrorCode::kTimeout, "receive timed out");
-      }
-      if (errno == ECONNRESET) {
-        return Error(ErrorCode::kConnectionClosed, errno_message("recv"));
-      }
-      return Error(ErrorCode::kConnectionFailed, errno_message("recv"));
-    }
+    return receive_some(max_bytes, ErrorCode::kTimeout, "receive timed out");
   }
 
   void close() override {
@@ -154,29 +147,8 @@ class TcpConnection final : public Connection {
   }
 
   Result<std::string> try_receive(size_t max_bytes) override {
-    if (max_bytes == 0) {
-      return Error(ErrorCode::kInvalidArgument, "receive(0)");
-    }
-    std::string buffer(max_bytes, '\0');
-    while (true) {
-      ssize_t n = ::recv(fd_.get(), buffer.data(), buffer.size(), 0);
-      if (n > 0) {
-        buffer.resize(static_cast<size_t>(n));
-        stats_->on_receive(buffer.size());
-        return buffer;
-      }
-      if (n == 0) {
-        return Error(ErrorCode::kConnectionClosed, "peer closed connection");
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Error(ErrorCode::kWouldBlock, "no data available");
-      }
-      if (errno == ECONNRESET) {
-        return Error(ErrorCode::kConnectionClosed, errno_message("recv"));
-      }
-      return Error(ErrorCode::kConnectionFailed, errno_message("recv"));
-    }
+    return receive_some(max_bytes, ErrorCode::kWouldBlock,
+                        "no data available");
   }
 
   bool supports_sendv() const override { return true; }
@@ -265,6 +237,36 @@ class TcpConnection final : public Connection {
   }
 
  private:
+  /// One recv() into the thread's staging buffer; only the bytes that
+  /// arrived are copied into the returned string. EAGAIN (a receive
+  /// timeout on a blocking socket, no data on a non-blocking one) maps to
+  /// `again_code`.
+  Result<std::string> receive_some(size_t max_bytes, ErrorCode again_code,
+                                   const char* again_message) {
+    if (max_bytes == 0) {
+      return Error(ErrorCode::kInvalidArgument, "receive(0)");
+    }
+    char* staging = receive_staging(max_bytes);
+    while (true) {
+      ssize_t n = ::recv(fd_.get(), staging, max_bytes, 0);
+      if (n > 0) {
+        stats_->on_receive(static_cast<std::uint64_t>(n));
+        return std::string(staging, static_cast<size_t>(n));
+      }
+      if (n == 0) {
+        return Error(ErrorCode::kConnectionClosed, "peer closed connection");
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Error(again_code, again_message);
+      }
+      if (errno == ECONNRESET) {
+        return Error(ErrorCode::kConnectionClosed, errno_message("recv"));
+      }
+      return Error(ErrorCode::kConnectionFailed, errno_message("recv"));
+    }
+  }
+
   Fd fd_;
   WireStatsCollector* stats_;
 };

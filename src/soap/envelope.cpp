@@ -5,40 +5,42 @@
 
 namespace spi::soap {
 
+void open_envelope(xml::Writer& writer,
+                   std::span<const std::string> header_blocks_xml) {
+  writer.declaration();
+  writer.start_element("SOAP-ENV:Envelope");
+  writer.attribute("xmlns:SOAP-ENV", kEnvelopeNs);
+  writer.attribute("xmlns:SOAP-ENC", kEncodingNs);
+  writer.attribute("xmlns:xsd", kXsdNs);
+  writer.attribute("xmlns:xsi", kXsiNs);
+  writer.attribute("xmlns:spi", kSpiNs);
+  if (!header_blocks_xml.empty()) {
+    writer.start_element("SOAP-ENV:Header");
+    for (const std::string& block : header_blocks_xml) writer.raw(block);
+    writer.end_element();
+  }
+  writer.start_element("SOAP-ENV:Body");
+  // Commit the Body start tag: an empty body still frames as
+  // <SOAP-ENV:Body></SOAP-ENV:Body>, never the collapsed <SOAP-ENV:Body/>.
+  writer.raw({});
+}
+
+size_t envelope_capacity(size_t body_bytes,
+                         std::span<const std::string> header_blocks_xml) {
+  // Declaration, namespaced Envelope tag, Header/Body tags: ~330 bytes.
+  size_t bytes = body_bytes + 512;
+  for (const std::string& block : header_blocks_xml) bytes += block.size();
+  return bytes;
+}
+
 std::string build_envelope(
     std::string_view body_inner_xml,
     const std::vector<std::string>& header_blocks_xml) {
-  std::string out;
-  size_t header_bytes = 0;
-  for (const std::string& block : header_blocks_xml) {
-    header_bytes += block.size();
-  }
-  out.reserve(body_inner_xml.size() + header_bytes + 512);
-
-  out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-  out += "<SOAP-ENV:Envelope";
-  out += " xmlns:SOAP-ENV=\"";
-  out += kEnvelopeNs;
-  out += "\" xmlns:SOAP-ENC=\"";
-  out += kEncodingNs;
-  out += "\" xmlns:xsd=\"";
-  out += kXsdNs;
-  out += "\" xmlns:xsi=\"";
-  out += kXsiNs;
-  out += "\" xmlns:spi=\"";
-  out += kSpiNs;
-  out += "\">";
-  if (!header_blocks_xml.empty()) {
-    out += "<SOAP-ENV:Header>";
-    for (const std::string& block : header_blocks_xml) {
-      out += block;
-    }
-    out += "</SOAP-ENV:Header>";
-  }
-  out += "<SOAP-ENV:Body>";
-  out += body_inner_xml;
-  out += "</SOAP-ENV:Body></SOAP-ENV:Envelope>";
-  return out;
+  xml::Writer writer(
+      false, envelope_capacity(body_inner_xml.size(), header_blocks_xml));
+  open_envelope(writer, header_blocks_xml);
+  writer.raw(body_inner_xml);
+  return writer.take();
 }
 
 namespace {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,9 +30,27 @@ inline constexpr std::string_view kXsiNs =
 /// Namespace of the SPI extension elements (Parallel_Method, Call, ...).
 inline constexpr std::string_view kSpiNs = "http://spi.example.org/2006/spi";
 
-/// Builds a complete envelope document. `body_inner_xml` is spliced in
-/// verbatim (already-serialized accessor elements); `header_blocks_xml`
-/// likewise, one fragment per header entry. Single pass, no DOM.
+/// Writes the envelope framing that precedes the body entries into an
+/// empty `writer`: the XML declaration, the Envelope start tag with the
+/// canonical namespace declarations, the Header block when
+/// `header_blocks_xml` is non-empty (one verbatim fragment per header
+/// entry), and the Body start tag. The caller then writes the body entries
+/// straight into the same buffer; writer.take() closes Body and Envelope
+/// and hands the finished document out. build_envelope() and the
+/// Assembler both frame through here, so the framing bytes are defined
+/// once.
+void open_envelope(xml::Writer& writer,
+                   std::span<const std::string> header_blocks_xml = {});
+
+/// Writer capacity for a whole envelope: `body_bytes` of body entries plus
+/// the header blocks plus the framing open_envelope() and take() add.
+size_t envelope_capacity(size_t body_bytes,
+                         std::span<const std::string> header_blocks_xml = {});
+
+/// Builds a complete envelope document around already-serialized body
+/// entries (`body_inner_xml`, spliced in verbatim) and header fragments.
+/// Convenience over open_envelope() for callers that hold the body as a
+/// string (faults, tests); it copies the body once. Single pass, no DOM.
 std::string build_envelope(std::string_view body_inner_xml,
                            const std::vector<std::string>& header_blocks_xml = {});
 

@@ -1,6 +1,10 @@
 #include "xml/text.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <iterator>
+#include <span>
 
 namespace spi::xml {
 
@@ -15,46 +19,96 @@ bool is_name_char(unsigned char c) {
   return is_name_start(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
 }
 
+struct Escape {
+  char byte;
+  std::string_view entity;
+};
+
+constexpr Escape kTextEscapes[] = {
+    {'&', "&amp;"}, {'<', "&lt;"}, {'>', "&gt;"}, {'\r', "&#13;"}};
+
+constexpr Escape kAttributeEscapes[] = {
+    {'&', "&amp;"}, {'<', "&lt;"},  {'>', "&gt;"},  {'"', "&quot;"},
+    {'\n', "&#10;"}, {'\t', "&#9;"}, {'\r', "&#13;"}};
+
+constexpr size_t kMaxEscapes = std::size(kAttributeEscapes);
+
+/// The entity of every byte in `escapes`, indexed by byte; empty otherwise.
+using EntityTable = std::array<std::string_view, 256>;
+
+constexpr EntityTable make_entity_table(std::span<const Escape> escapes) {
+  EntityTable table{};
+  for (const Escape& e : escapes) {
+    table[static_cast<unsigned char>(e.byte)] = e.entity;
+  }
+  return table;
+}
+
+constexpr EntityTable kTextEntities = make_entity_table(kTextEscapes);
+constexpr EntityTable kAttributeEntities =
+    make_entity_table(kAttributeEscapes);
+
+/// Clean bytes the byte loop lets go by before it hands the scan back to
+/// the memchr cursors.
+constexpr std::ptrdiff_t kDenseRun = 32;
+
+const char* find_byte(const char* from, const char* end, char byte) {
+  const void* hit = std::memchr(from, byte, static_cast<size_t>(end - from));
+  return hit ? static_cast<const char*>(hit) : end;
+}
+
+/// Appends `text` with each byte of `escapes` replaced by its entity.
+/// A byte loop escapes through `entities` until kDenseRun clean bytes go
+/// by; the clean stretch that follows is crossed at memchr speed, to the
+/// nearest hit of one cursor per special byte. A cursor is refreshed only
+/// once the scan has passed its hit, so each sweeps the input once and
+/// the scan stays linear. Clean payloads cost a few memchr sweeps, and
+/// special-dense text (markup carried as a string) a table lookup per
+/// byte rather than a memchr restart per hit.
+void append_escaped(std::string& out, std::string_view text,
+                    std::span<const Escape> escapes,
+                    const EntityTable& entities) {
+  const char* const begin = text.data();
+  const char* const end = begin + text.size();
+  const char* cursor = begin;  // first byte not yet appended
+  const char* p = begin;       // first byte not yet scanned
+  // Each cursor's next hit; a hit that `p` has passed is searched again.
+  // `begin` is passed before the first search: the byte loop advances `p`.
+  const char* next[kMaxEscapes] = {};
+  std::fill_n(next, escapes.size(), begin);
+  // Where the byte loop stops if no special byte follows `from`.
+  auto window_end = [end](const char* from) {
+    return end - from > kDenseRun ? from + kDenseRun + 1 : end;
+  };
+  while (true) {
+    for (const char* stop = window_end(p); p != stop; ++p) {
+      std::string_view entity = entities[static_cast<unsigned char>(*p)];
+      if (entity.empty()) continue;
+      out.append(cursor, static_cast<size_t>(p - cursor));
+      out.append(entity);
+      cursor = p + 1;
+      stop = window_end(p);
+    }
+    if (p == end) break;
+    const char* hit = end;
+    for (size_t k = 0; k < escapes.size(); ++k) {
+      if (next[k] < p) next[k] = find_byte(p, end, escapes[k].byte);
+      hit = std::min(hit, next[k]);
+    }
+    p = hit;
+    if (p == end) break;
+  }
+  out.append(cursor, static_cast<size_t>(end - cursor));
+}
+
 }  // namespace
 
 void append_escaped_text(std::string& out, std::string_view text) {
-  // Fast path: copy runs of unescaped characters in one append.
-  size_t run_start = 0;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    const char* replacement = nullptr;
-    switch (c) {
-      case '&': replacement = "&amp;"; break;
-      case '<': replacement = "&lt;"; break;
-      case '>': replacement = "&gt;"; break;
-      default: continue;
-    }
-    out.append(text, run_start, i - run_start);
-    out.append(replacement);
-    run_start = i + 1;
-  }
-  out.append(text, run_start, text.size() - run_start);
+  append_escaped(out, text, kTextEscapes, kTextEntities);
 }
 
 void append_escaped_attribute(std::string& out, std::string_view value) {
-  size_t run_start = 0;
-  for (size_t i = 0; i < value.size(); ++i) {
-    const char c = value[i];
-    const char* replacement = nullptr;
-    switch (c) {
-      case '&': replacement = "&amp;"; break;
-      case '<': replacement = "&lt;"; break;
-      case '>': replacement = "&gt;"; break;
-      case '"': replacement = "&quot;"; break;
-      case '\n': replacement = "&#10;"; break;
-      case '\t': replacement = "&#9;"; break;
-      default: continue;
-    }
-    out.append(value, run_start, i - run_start);
-    out.append(replacement);
-    run_start = i + 1;
-  }
-  out.append(value, run_start, value.size() - run_start);
+  append_escaped(out, value, kAttributeEscapes, kAttributeEntities);
 }
 
 std::string escape_text(std::string_view text) {

@@ -60,12 +60,10 @@ class Writer {
 
   size_t depth() const { return open_elements_.size(); }
 
-  /// The serialized document. Call after finish() / when complete().
-  const std::string& str() const& { return out_; }
-
   /// Closes any elements still open (finish()) and moves the document out.
-  /// Surrenders the buffer; callers reusing the Writer pair str() with
-  /// reset() instead, which keeps the allocated capacity.
+  /// Surrenders the output buffer; a Writer reused after reset() keeps
+  /// only its tag-stack capacity (the Assembler hands each envelope out
+  /// this way).
   std::string take() {
     finish();
     return std::move(out_);

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "core/assembler.hpp"
 #include "core/dispatcher.hpp"
 #include "core/params.hpp"
+#include "resilience/deadline.hpp"
+#include "telemetry/trace.hpp"
 
 namespace spi::core {
 namespace {
@@ -122,6 +125,140 @@ TEST(AssemblerTest, PackCostChargedOnlyForPackedEnvelopes) {
   (void)assembler.assemble_request(four, PackMode::kPacked);
   EXPECT_GE(clock.now().time_since_epoch(),
             Duration(std::chrono::microseconds(400)));
+}
+
+// --- envelope framing ------------------------------------------------------------
+
+// The Assembler writes framing, header blocks and body into one buffer;
+// the result must stay byte-identical to build_envelope() over the
+// separately serialized body. EncodedResponseCache keys on these bytes
+// and PackCostModel charges their size.
+
+/// The envelope's spi:Deadline block, rebuilt from the budget it carries:
+/// only the microsecond value depends on when the Assembler read the
+/// clock; every other byte must be Deadline::to_header_block()'s.
+std::string deadline_block_of(std::string_view envelope) {
+  const TimePoint now = RealClock::instance().now();
+  auto deadline = resilience::Deadline::scan(envelope, now);
+  if (!deadline) {
+    ADD_FAILURE() << "no spi:Deadline block in envelope";
+    return {};
+  }
+  EXPECT_GT(deadline->remaining(now), Duration::zero());
+  EXPECT_LE(deadline->remaining(now), Duration(std::chrono::seconds(10)));
+  return deadline->to_header_block(now);
+}
+
+/// Runs `assemble` under a WS-Security factory, a trace scope and a
+/// deadline scope, and expects build_envelope(body, {security, trace,
+/// deadline}) byte for byte. A twin factory with the same seed rebuilds
+/// the Security block; an attempt that straddles a wall-clock second
+/// (the block's Created stamp) is retried with both factories in step.
+void expect_framing_with_headers(
+    const std::function<std::string(Assembler&)>& assemble,
+    const std::string& body) {
+  const soap::WsseCredentials credentials{"operator", "s3cret&<key>"};
+  soap::WsseTokenFactory factory(credentials, 42);
+  soap::WsseTokenFactory twin(credentials, 42);
+  Assembler assembler(&factory);
+  const telemetry::TraceContext trace = telemetry::TraceContext::generate();
+  telemetry::TraceScope trace_scope(trace);
+  const resilience::Deadline deadline =
+      resilience::Deadline::after(std::chrono::seconds(10));
+  resilience::DeadlineScope deadline_scope(deadline);
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    const std::string created = soap::iso8601_now();
+    const std::string envelope = assemble(assembler);
+    const std::string security = twin.make_header_block(created);
+    if (soap::iso8601_now() != created) continue;
+    const std::vector<std::string> headers = {
+        security, trace.to_header_block(), deadline_block_of(envelope)};
+    EXPECT_EQ(envelope, soap::build_envelope(body, headers));
+    return;
+  }
+  FAIL() << "wall-clock second changed on every attempt";
+}
+
+std::vector<ServiceCall> framing_calls(size_t n) {
+  std::vector<ServiceCall> calls;
+  for (size_t i = 0; i < n; ++i) {
+    // Markup, CR and non-ASCII bytes exercise the escape scan in place.
+    calls.push_back(make_call(
+        "EchoService", "Echo",
+        {{"data", Value("a<b & c>\r\n\xC3\xA9 #" + std::to_string(i))},
+         {"count", Value(static_cast<std::int64_t>(i))}}));
+  }
+  return calls;
+}
+
+std::vector<IndexedOutcome> framing_outcomes() {
+  std::vector<IndexedOutcome> outcomes;
+  outcomes.push_back({0, CallOutcome(Value("r<0>&\r"))});
+  outcomes.push_back(
+      {1, CallOutcome(Error(ErrorCode::kNotFound, "no <such> op"))});
+  outcomes.push_back({2, CallOutcome(Value(std::int64_t{7}))});
+  return outcomes;
+}
+
+TEST(AssemblerFramingTest, PackedRequestMatchesBuildEnvelope) {
+  const auto calls = framing_calls(3);
+  expect_framing_with_headers(
+      [&](Assembler& a) { return a.assemble_request(calls, PackMode::kPacked); },
+      wire::serialize_packed_request(calls));
+}
+
+TEST(AssemblerFramingTest, SingleRequestMatchesBuildEnvelope) {
+  const auto calls = framing_calls(1);
+  expect_framing_with_headers(
+      [&](Assembler& a) { return a.assemble_request(calls, PackMode::kSingle); },
+      wire::serialize_single_request(calls.front()));
+}
+
+TEST(AssemblerFramingTest, PackedResponseMatchesBuildEnvelope) {
+  const auto outcomes = framing_outcomes();
+  expect_framing_with_headers(
+      [&](Assembler& a) {
+        return a.assemble_response(outcomes, ServiceCall{}, true);
+      },
+      wire::serialize_packed_response(outcomes));
+}
+
+TEST(AssemblerFramingTest, SingleResponsesMatchBuildEnvelope) {
+  const ServiceCall call = framing_calls(1).front();
+  for (const IndexedOutcome& outcome : framing_outcomes()) {
+    const std::vector<IndexedOutcome> one = {{0, outcome.outcome}};
+    expect_framing_with_headers(
+        [&](Assembler& a) { return a.assemble_response(one, call, false); },
+        wire::serialize_single_response(call, outcome.outcome));
+  }
+}
+
+TEST(AssemblerFramingTest, PlanMatchesBuildEnvelope) {
+  RemotePlan plan;
+  PlanStep step;
+  step.service = "EchoService";
+  step.operation = "Echo";
+  step.args.push_back(PlanArg::value("data", Value("x<y")));
+  plan.steps.push_back(step);
+  expect_framing_with_headers(
+      [&](Assembler& a) { return a.assemble_plan(plan); },
+      wire::serialize_plan_request(plan));
+}
+
+TEST(AssemblerFramingTest, HeaderlessEnvelopesMatchBuildEnvelope) {
+  Assembler assembler;
+  const auto calls = framing_calls(4);
+  EXPECT_EQ(assembler.assemble_request(calls, PackMode::kPacked),
+            soap::build_envelope(wire::serialize_packed_request(calls)));
+  const auto outcomes = framing_outcomes();
+  EXPECT_EQ(assembler.assemble_response(outcomes, ServiceCall{}, true),
+            soap::build_envelope(wire::serialize_packed_response(outcomes)));
+}
+
+TEST(AssemblerFramingTest, EmptyBodyKeepsExpandedBodyElement) {
+  EXPECT_NE(soap::build_envelope("").find(
+                "<SOAP-ENV:Body></SOAP-ENV:Body></SOAP-ENV:Envelope>"),
+            std::string::npos);
 }
 
 // --- dispatcher -----------------------------------------------------------------

@@ -100,10 +100,14 @@ class AsyncSpiClientTest : public ::testing::Test {
     EXPECT_EQ(client.stats().async_inflight, 0u);
   }
 
-  /// Completes `n` fast TailService exchanges so the hedge policy's
-  /// latency histogram passes warmup and learns a ~sub-millisecond p50.
-  static void warm_hedge_policy(core::SpiClient& client, std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) {
+  /// Completes exactly `warmup` fast TailService exchanges so the hedge
+  /// policy's latency histogram passes warmup and learns a ~sub-millisecond
+  /// p50. Each exchange records its sample before it completes, so every
+  /// warm-up exchange starts with fewer than `warmup` samples and cannot
+  /// arm a hedge, however slow the build: the hedge counts a test asserts
+  /// belong to its own exchanges alone.
+  static void warm_hedge_policy(core::SpiClient& client) {
+    for (std::uint64_t i = 0; i < hedged_options().hedge.warmup; ++i) {
       std::vector<ServiceCall> calls;
       calls.push_back(core::make_call("TailService", "Get", {}));
       auto result = client.execute_packed_future(std::move(calls)).get();
@@ -227,7 +231,7 @@ TEST_F(AsyncSpiClientTest, CancelledHedgeLoserDoesNotAbortScheduledRepack) {
   auto options = hedged_options();
   options.retry.max_attempts = 3;
   auto client = make_client(options);
-  warm_hedge_policy(*client, 8);
+  warm_hedge_policy(*client);
 
   std::vector<ServiceCall> calls;
   calls.push_back(core::make_call("TailService", "Race", {}));
@@ -248,7 +252,7 @@ TEST_F(AsyncSpiClientTest, CancelledHedgeLoserDoesNotAbortScheduledRepack) {
 
 TEST_F(AsyncSpiClientTest, HedgeFiresOnStallAndWins) {
   auto client = make_client(hedged_options());
-  warm_hedge_policy(*client, 8);
+  warm_hedge_policy(*client);
 
   // Manufacture the tail: the NEXT handler invocation sleeps 300ms. The
   // hedge fires at the learned p50 (clamped to 2ms), lands on a fresh
@@ -274,7 +278,7 @@ TEST_F(AsyncSpiClientTest, HedgeFiresOnStallAndWins) {
 
 TEST_F(AsyncSpiClientTest, PrimaryWinCancelsHedgeLeg) {
   auto client = make_client(hedged_options());
-  warm_hedge_policy(*client, 8);
+  warm_hedge_policy(*client);
 
   // No stall: the primary answers first; the armed-and-fired hedge (or
   // armed-and-not-fired timer) must never double-complete the exchange.
@@ -293,7 +297,7 @@ TEST_F(AsyncSpiClientTest, PrimaryWinCancelsHedgeLeg) {
 
 TEST_F(AsyncSpiClientTest, NonIdempotentCallsNeverHedge) {
   auto client = make_client(hedged_options());
-  warm_hedge_policy(*client, 8);
+  warm_hedge_policy(*client);
 
   // TailService.Put is the same handler WITHOUT the idempotent trait: the
   // stall rides out the full 300ms because firing a second attempt could
@@ -313,7 +317,7 @@ TEST_F(AsyncSpiClientTest, NonIdempotentCallsNeverHedge) {
 
 TEST_F(AsyncSpiClientTest, MixedBatchWithNonIdempotentCallDisablesHedging) {
   auto client = make_client(hedged_options());
-  warm_hedge_policy(*client, 8);
+  warm_hedge_policy(*client);
 
   // One non-idempotent call poisons the whole packed message: the batch
   // crosses as ONE HTTP exchange, so hedging it re-executes everything.
@@ -332,7 +336,7 @@ TEST_F(AsyncSpiClientTest, HedgesDebitRetryBudget) {
   options.retry.budget = 1.0;
   options.retry.deposit_per_call = 0.0;
   auto client = make_client(options);
-  warm_hedge_policy(*client, 8);
+  warm_hedge_policy(*client);
 
   for (int i = 0; i < 3; ++i) {
     stall_next_.store(1);

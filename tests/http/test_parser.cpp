@@ -2,6 +2,10 @@
 // invariant under how the byte stream is sliced (parameterized feed sizes).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <type_traits>
+#include <vector>
+
 #include "http/parser.hpp"
 
 namespace spi::http {
@@ -89,8 +93,87 @@ TEST_P(HttpParserFeedSizeTest, ChunkedBodyInvariantUnderSlicing) {
   EXPECT_EQ(response->body, "Wikipedia in chunks..");
 }
 
+/// Patterned body bytes with CRLFs inside, so a line scan that strayed
+/// into the body would split it.
+std::string patterned_body(size_t size) {
+  static constexpr std::string_view kPattern = "0123456789abcdef\r\n";
+  std::string body(size, '\0');
+  for (size_t i = 0; i < size; ++i) body[i] = kPattern[i % kPattern.size()];
+  return body;
+}
+
+/// Feeds `stream` in `slice`-byte deliveries, polling after each one as
+/// the connection FSM does, and collects every complete message.
+template <typename Message>
+std::vector<Message> parse_sliced(MessageParser& parser,
+                                  std::string_view stream, size_t slice) {
+  std::vector<Message> messages;
+  for (size_t offset = 0; offset < stream.size(); offset += slice) {
+    parser.feed(stream.substr(offset, slice));
+    while (true) {
+      std::optional<Message> message;
+      if constexpr (std::is_same_v<Message, Request>) {
+        message = parser.poll_request();
+      } else {
+        message = parser.poll_response();
+      }
+      if (!message) break;
+      messages.push_back(std::move(*message));
+    }
+  }
+  return messages;
+}
+
+TEST_P(HttpParserFeedSizeTest, LargeBodyThenPipelinedRequestIntact) {
+  // Larger than one 64 KiB receive, so the body spans several deliveries
+  // at every slice size except whole-message.
+  const std::string body = patterned_body(80 * 1024 + 7);
+  std::string stream = "POST /spi HTTP/1.1\r\nContent-Length: " +
+                       std::to_string(body.size()) + "\r\n\r\n" + body;
+  stream += "POST /next HTTP/1.1\r\nContent-Length: 4\r\n\r\ntail";
+  MessageParser parser(MessageParser::Mode::kRequest);
+  auto requests = parse_sliced<Request>(parser, stream, GetParam());
+  ASSERT_FALSE(parser.failed()) << parser.error().to_string();
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests[0].target, "/spi");
+  EXPECT_EQ(requests[0].body.size(), body.size());
+  EXPECT_TRUE(requests[0].body == body);  // no 80 KiB diff on failure
+  EXPECT_EQ(requests[1].target, "/next");
+  EXPECT_EQ(requests[1].body, "tail");
+  EXPECT_FALSE(parser.mid_message());
+}
+
+TEST_P(HttpParserFeedSizeTest, LargeChunkedBodyThenPipelinedResponseIntact) {
+  const std::string body = patterned_body(70 * 1024 + 3);
+  const size_t first = 30000;
+  std::string stream = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+  auto add_chunk = [&](std::string_view data) {
+    char size_line[32];
+    std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
+    stream += size_line;
+    stream += data;
+    stream += "\r\n";
+  };
+  add_chunk(std::string_view(body).substr(0, first));
+  add_chunk(std::string_view(body).substr(first));
+  stream += "0\r\n\r\n";
+  stream += "HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n";
+  MessageParser parser(MessageParser::Mode::kResponse);
+  auto responses = parse_sliced<Response>(parser, stream, GetParam());
+  ASSERT_FALSE(parser.failed()) << parser.error().to_string();
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_EQ(responses[0].body.size(), body.size());
+  EXPECT_TRUE(responses[0].body == body);
+  EXPECT_EQ(responses[1].status, 204);
+  EXPECT_TRUE(responses[1].body.empty());
+  EXPECT_FALSE(parser.mid_message());
+}
+
+// 65536 matches one transport receive; npos feeds the whole stream at once.
 INSTANTIATE_TEST_SUITE_P(FeedSizes, HttpParserFeedSizeTest,
-                         ::testing::Values(1, 2, 3, 5, 7, 16, 64, 4096));
+                         ::testing::Values(1, 2, 3, 5, 7, 16, 64, 4096, 65536,
+                                           std::string_view::npos));
 
 TEST(HttpParserTest, PipelinedRequestsOnOneConnection) {
   MessageParser parser(MessageParser::Mode::kRequest);

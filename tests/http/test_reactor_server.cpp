@@ -311,7 +311,14 @@ TEST_F(ReactorServerTest, AcceptShardingOffFallsBackToRoundRobin) {
   // across loops deterministically.
   std::vector<std::unique_ptr<net::Connection>> parked;
   for (int i = 0; i < 8; ++i) parked.push_back(connect(*server));
-  for (int i = 0; i < 200 && server->open_connections() < 8; ++i) {
+  // open_connections() counts at accept; a loop counts a connection only
+  // once it has adopted the handoff, so wait for both.
+  auto adopted = [&] {
+    return server->loop_snapshot(0).connections +
+           server->loop_snapshot(1).connections;
+  };
+  for (int i = 0;
+       i < 200 && (server->open_connections() < 8 || adopted() < 8); ++i) {
     std::this_thread::sleep_for(5ms);
   }
   ASSERT_EQ(server->open_connections(), 8u);

@@ -315,6 +315,9 @@ TEST(TcpTransportTest, TrySendvGathersSegmentsInOrder) {
   ASSERT_EQ(sent.value(), 11u);
   auto ack = client.value()->receive(1);
   ASSERT_TRUE(ack.ok());
+  // send() counts its bytes after they leave, so the "k" can arrive
+  // before the server thread has counted it.
+  server.join();
 
   // The gather is counted once in the wire stats, not per segment.
   EXPECT_EQ(transport.stats().bytes_sent, 12u);  // 11 + the server's "k"
