@@ -2,8 +2,9 @@
 // the coupled single-thread architecture (Figure 1).
 //
 // With handlers that actually take time (Delay), the staged server runs a
-// packed message's M calls on M application-stage workers concurrently,
-// while the coupled server runs them sequentially on the protocol thread.
+// packed message's M calls concurrently on min(M, 32) application-stage
+// workers, one claimer task each, while the coupled server runs them
+// sequentially on the protocol thread.
 // Expected: staged latency ~ max(handler) + overhead; coupled ~ sum.
 #include <cstdio>
 

@@ -126,12 +126,17 @@ bool Reactor::cancel_timer(TimerWheel::TimerId id) {
 }
 
 bool Reactor::try_post(std::function<void()> task) {
+  bool first = false;
   {
     std::lock_guard lock(post_mutex_);
     if (!accepting_posts_) return false;
+    first = posted_.empty();
     posted_.push_back(std::move(task));
   }
-  poller_->wake();
+  // Only the push that makes the queue non-empty wakes the loop. The loop
+  // takes the whole queue on each iteration, so later posts ride this
+  // wake; a post after that take finds the queue empty and wakes again.
+  if (first) poller_->wake();
   return true;
 }
 
@@ -171,12 +176,12 @@ void Reactor::run_sync(std::function<void()> task) {
 }
 
 void Reactor::drain_posted() {
-  std::vector<std::function<void()>> tasks;
   {
     std::lock_guard lock(post_mutex_);
-    tasks.swap(posted_);
+    draining_.swap(posted_);
   }
-  for (auto& task : tasks) task();
+  for (auto& task : draining_) task();
+  draining_.clear();
 }
 
 void Reactor::run() {
@@ -224,13 +229,11 @@ void Reactor::run() {
   }
   // Final drain, with the gate closed so no task can be enqueued after it
   // and wait forever in run_sync().
-  std::vector<std::function<void()>> last;
   {
     std::lock_guard lock(post_mutex_);
     accepting_posts_ = false;
-    last.swap(posted_);
   }
-  for (auto& task : last) task();
+  drain_posted();
   loop_thread_id_.store(std::thread::id{}, std::memory_order_release);
 }
 

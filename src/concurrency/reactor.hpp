@@ -81,7 +81,9 @@ class Reactor {
   bool cancel_timer(TimerWheel::TimerId id);
 
   /// Enqueues `task` to run on the loop thread. Thread-safe. Tasks posted
-  /// after stop() are dropped (shutdown races resolve to "not run").
+  /// after stop() are dropped (shutdown races resolve to "not run"). Only
+  /// a post into an empty queue wakes the poller; posts that find tasks
+  /// already queued ride that wake.
   void post(std::function<void()> task);
 
   /// post() that reports acceptance: false means the loop is already past
@@ -126,6 +128,9 @@ class Reactor {
 
   std::mutex post_mutex_;
   std::vector<std::function<void()>> posted_;
+  /// Loop-owned: drain_posted() swaps posted_ into it, so the two buffers
+  /// trade places and keep their capacity instead of allocating per drain.
+  std::vector<std::function<void()>> draining_;
   /// Guarded by post_mutex_; flipped off by the loop as its very last act
   /// so run_sync() can tell "will run" from "must run inline" race-free.
   bool accepting_posts_ = false;

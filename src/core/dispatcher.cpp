@@ -85,6 +85,55 @@ Result<wire::ParsedRequest> Dispatcher::parse_request_envelope(
   return parsed;
 }
 
+struct Dispatcher::Fanout {
+  const wire::ParsedRequest& request;
+  const ServiceRegistry& registry;
+  std::vector<std::optional<CallOutcome>>& slots;
+  /// Calls under the fan-out cap: indices [0, admitted) are claimed.
+  size_t admitted;
+  std::atomic<size_t> next{0};
+  /// Fan-in of the posted claimers; unused when the claimer runs inline.
+  WaitGroup claimers{};
+};
+
+void Dispatcher::run_claimer(Fanout& fanout) {
+  const wire::ParsedRequest& request = fanout.request;
+  CallContext context;
+  context.trace = request.trace;
+  context.deadline = request.deadline;
+  context.fanout = request.calls.size();
+  CallContextScope scope(context);
+  while (true) {
+    const size_t i = fanout.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= fanout.admitted) return;
+    calls_dispatched_.fetch_add(1, std::memory_order_relaxed);
+    const ServiceCall& call = request.calls[i].call;
+    context.call_id = request.calls[i].id;
+    context.service = call.service;
+    context.operation = call.operation;
+    // Execute-stage deadline shed: checked per call at the moment a
+    // claimer picks it up, so a batch whose budget drains while earlier
+    // calls run (or while queued behind a saturated pool) stops burning
+    // handler time. The fault names the stage; RetryPolicy treats it as
+    // not-executed.
+    if (request.deadline.expired(RealClock::instance().now())) {
+      deadline_shed_.fetch_add(1, std::memory_order_relaxed);
+      fanout.slots[i] = CallOutcome(Error(
+          ErrorCode::kDeadlineExceeded, "deadline expired before execute stage"));
+    } else {
+      fanout.slots[i] = fanout.registry.invoke(call);
+    }
+  }
+}
+
+Error Dispatcher::refuse(const ThreadPool& pool, size_t shed) {
+  if (!pool.accepting()) {
+    return Error(ErrorCode::kShutdown, "application stage is shut down");
+  }
+  queue_full_shed_.fetch_add(shed, std::memory_order_relaxed);
+  return Error(ErrorCode::kCapacityExceeded, "application stage queue is full");
+}
+
 std::vector<IndexedOutcome> Dispatcher::execute(
     const wire::ParsedRequest& request, const ServiceRegistry& registry,
     ThreadPool* pool) {
@@ -92,113 +141,58 @@ std::vector<IndexedOutcome> Dispatcher::execute(
     return execute_plan_request(request, registry, pool);
   }
   const size_t n = request.calls.size();
-  // Only calls under the fan-out cap are ever handed to the application
-  // stage; rejected ones show up in limit_rejected_calls instead.
-  calls_dispatched_.fetch_add(std::min(n, envelope_limits_.max_fanout),
-                              std::memory_order_relaxed);
-
-  // Execute-stage deadline shed: checked per call at the moment a worker
-  // picks it up, so a batch whose budget drains while earlier calls run
-  // (or while queued behind a saturated pool) stops burning handler time.
-  // The fault names the stage; RetryPolicy treats it as not-executed.
-  auto shed_outcome = [&request]() -> std::optional<CallOutcome> {
-    if (!request.deadline.expired(RealClock::instance().now())) {
-      return std::nullopt;
-    }
-    return CallOutcome(Error(ErrorCode::kDeadlineExceeded,
-                             "deadline expired before execute stage"));
-  };
+  std::vector<std::optional<CallOutcome>> slots(n);
 
   // Fan-out cap (DESIGN.md §11): calls past max_fanout are answered with a
   // per-call CapacityExceeded fault — retryable-not-executed, so the client
   // re-packs just those — while siblings under the cap execute normally.
   // A whole-message rejection would punish the healthy calls too.
   const size_t fanout_cap = envelope_limits_.max_fanout;
-  auto fanout_rejection = [this, n, fanout_cap]() -> CallOutcome {
-    limit_rejected_calls_.fetch_add(1, std::memory_order_relaxed);
-    return CallOutcome(Error(
-        ErrorCode::kCapacityExceeded,
-        "envelope limit exceeded: fan-out (" + std::to_string(n) + " > " +
-            std::to_string(fanout_cap) + " calls)"));
-  };
-
-  std::vector<std::optional<CallOutcome>> slots(n);
+  Fanout fanout{request, registry, slots, std::min(n, fanout_cap)};
+  limit_rejected_calls_.fetch_add(n - fanout.admitted,
+                                  std::memory_order_relaxed);
+  if (fanout.admitted < n) {
+    const Error over_cap(ErrorCode::kCapacityExceeded,
+                         "envelope limit exceeded: fan-out (" +
+                             std::to_string(n) + " > " +
+                             std::to_string(fanout_cap) + " calls)");
+    for (size_t i = fanout.admitted; i < n; ++i) {
+      slots[i] = CallOutcome(over_cap);
+    }
+  }
 
   if (pool == nullptr) {
-    // Coupled mode (Figure 1): everything runs on the protocol thread, so
-    // one stack CallContext (and one scope install) serves every call —
-    // handlers reach it through current_call_context().
-    CallContext context;
-    context.trace = request.trace;
-    context.deadline = request.deadline;
-    context.fanout = n;
-    CallContextScope scope(context);
-    for (size_t i = 0; i < n; ++i) {
-      context.call_id = request.calls[i].id;
-      context.service = request.calls[i].call.service;
-      context.operation = request.calls[i].call.operation;
-      if (i >= fanout_cap) {
-        slots[i] = fanout_rejection();
-        continue;
-      }
-      if (auto shed = shed_outcome()) {
-        deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-        slots[i] = std::move(*shed);
-        continue;
-      }
-      slots[i] = registry.invoke(request.calls[i].call);
-    }
+    // Coupled mode (Figure 1): one claimer, on the protocol thread.
+    run_claimer(fanout);
   } else {
-    // Staged mode (Figure 2): one application-stage worker per call; the
-    // protocol thread sleeps on the WaitGroup until the last one lands.
-    // Each worker needs its own stable CallContext to install.
-    std::vector<CallContext> contexts(n);
-    for (size_t i = 0; i < n; ++i) {
-      contexts[i].trace = request.trace;
-      contexts[i].deadline = request.deadline;
-      contexts[i].call_id = request.calls[i].id;
-      contexts[i].fanout = n;
-      contexts[i].service = request.calls[i].call.service;
-      contexts[i].operation = request.calls[i].call.operation;
+    // Staged mode (Figure 2): k = min(M', W) claimers on the application
+    // stage. More would only queue behind the W workers; each hand-off
+    // costs a queue push, a wake-up and a fan-in lock. The protocol thread
+    // sleeps on the WaitGroup until the last claimer lands.
+    const size_t claimers = std::min(fanout.admitted, pool->thread_count());
+    fanout.claimers.add(claimers);
+    // try_submit, not submit: when the application queue is full the
+    // protocol thread must not block on its sibling stage (SEDA
+    // shed-don't-block). One admitted claimer runs every call.
+    size_t posted = 0;
+    while (posted < claimers && pool->try_submit([this, &fanout] {
+             run_claimer(fanout);
+             fanout.claimers.done();
+           })) {
+      ++posted;
     }
-    WaitGroup pending;
-    pending.add(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (i >= fanout_cap) {
-        slots[i] = fanout_rejection();
-        pending.done();
-        continue;
-      }
-      const ServiceCall& call = request.calls[i].call;
-      // try_submit, not submit: when the application queue is full the
-      // protocol thread must not block on its sibling stage (SEDA
-      // shed-don't-block) — the call is answered with a retryable
-      // CapacityExceeded fault instead.
-      bool accepted = pool->try_submit(
-          [this, &registry, &call, &slots, &pending, &contexts, &shed_outcome,
-           i] {
-            CallContextScope scope(contexts[i]);
-            if (auto shed = shed_outcome()) {
-              deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-              slots[i] = std::move(*shed);
-            } else {
-              slots[i] = registry.invoke(call);
-            }
-            pending.done();
-          });
-      if (!accepted) {
-        if (pool->accepting()) {
-          queue_full_shed_.fetch_add(1, std::memory_order_relaxed);
-          slots[i] = CallOutcome(Error(ErrorCode::kCapacityExceeded,
-                                       "application stage queue is full"));
-        } else {
-          slots[i] = CallOutcome(
-              Error(ErrorCode::kShutdown, "application stage is shut down"));
-        }
-        pending.done();
+    for (size_t refused = posted; refused < claimers; ++refused) {
+      fanout.claimers.done();
+    }
+    if (posted == 0 && fanout.admitted > 0) {
+      // No claimer admitted: every call is shed on its own with a
+      // retryable CapacityExceeded fault.
+      const Error refusal = refuse(*pool, fanout.admitted);
+      for (size_t i = 0; i < fanout.admitted; ++i) {
+        slots[i] = CallOutcome(refusal);
       }
     }
-    pending.wait();
+    fanout.claimers.wait();
   }
 
   std::vector<IndexedOutcome> outcomes;
@@ -239,36 +233,30 @@ std::vector<IndexedOutcome> Dispatcher::execute_plan_request(
     }
     return rejected;
   }
-  calls_dispatched_.fetch_add(n, std::memory_order_relaxed);
-
   CallContext context;
   context.trace = request.trace;
   context.fanout = n;
 
   std::vector<IndexedOutcome> outcomes;
-  if (pool == nullptr) {
-    // Coupled mode: the chain runs on the protocol thread.
+  auto run_plan = [&] {
+    calls_dispatched_.fetch_add(n, std::memory_order_relaxed);
     CallContextScope scope(context);
     outcomes = execute_plan(request.plan, registry);
+  };
+  if (pool == nullptr) {
+    // Coupled mode: the chain runs on the protocol thread.
+    run_plan();
   } else {
     // Staged mode: a plan is inherently sequential, so it occupies ONE
     // application-stage worker; the protocol thread sleeps meanwhile.
     WaitGroup pending;
     pending.add(1);
     bool accepted = pool->try_submit([&] {
-      CallContextScope scope(context);
-      outcomes = execute_plan(request.plan, registry);
+      run_plan();
       pending.done();
     });
     if (!accepted) {
-      Error refusal =
-          pool->accepting()
-              ? Error(ErrorCode::kCapacityExceeded,
-                      "application stage queue is full")
-              : Error(ErrorCode::kShutdown, "application stage is shut down");
-      if (pool->accepting()) {
-        queue_full_shed_.fetch_add(1, std::memory_order_relaxed);
-      }
+      const Error refusal = refuse(*pool, 1);
       for (size_t i = 0; i < n; ++i) {
         outcomes.push_back(IndexedOutcome{static_cast<std::uint32_t>(i),
                                           CallOutcome(refusal)});

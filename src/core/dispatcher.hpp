@@ -1,8 +1,9 @@
 // Dispatcher (paper §3.5): the inverse of the Assembler. On the server it
-// extracts the M request payloads from one SOAP message and triggers M
-// worker threads from the application stage pool; on the client it
-// extracts the M response payloads and routes each back to the caller that
-// issued it (by call id, tolerant of server-side reordering).
+// extracts the M request payloads from one SOAP message and runs them on
+// the application stage pool, up to W at a time (W = the pool's width); on
+// the client it extracts the M response payloads and routes each back to
+// the caller that issued it (by call id, tolerant of server-side
+// reordering).
 #pragma once
 
 #include <atomic>
@@ -22,6 +23,9 @@ class Dispatcher {
   struct Stats {
     std::uint64_t envelopes = 0;
     std::uint64_t packed_envelopes = 0;
+    /// Calls picked up for execution (a plan counts its steps when its
+    /// task runs). Calls refused by the fan-out cap or by the application
+    /// queue are not counted here.
     std::uint64_t calls_dispatched = 0;
     std::uint64_t faults_produced = 0;
     /// Calls answered with a DeadlineExceeded fault at the execute-stage
@@ -32,8 +36,8 @@ class Dispatcher {
     /// ran (DESIGN.md §11).
     std::uint64_t limit_rejected_calls = 0;
     /// Calls answered with a retryable CapacityExceeded fault because the
-    /// application stage's bounded queue was full at submit time
-    /// (shed-don't-block).
+    /// application stage's bounded queue admitted none of their message's
+    /// claimer tasks (shed-don't-block). A refused plan counts once.
     std::uint64_t queue_full_shed = 0;
   };
 
@@ -72,11 +76,14 @@ class Dispatcher {
   Result<wire::ParsedRequest> parse_request_document(xml::Document document,
                                                      std::uint64_t wire_bytes);
 
-  /// Server side, step 2: fan the calls out to `pool` worker threads, wait
-  /// for all of them (WaitGroup fan-in), and return outcomes in request
-  /// order. When `pool` is null the calls run inline on the calling
-  /// (protocol) thread — the paper's Figure 1 coupled architecture, kept
-  /// for the staged-pool ablation bench.
+  /// Server side, step 2: fan the calls out to `pool`, wait for all of
+  /// them (WaitGroup fan-in), and return outcomes in request order. The
+  /// calls under the fan-out cap (M') are taken one at a time from a
+  /// shared index by k = min(M', pool->thread_count()) claimer tasks, so a
+  /// message costs k queue hand-offs, not M'. When `pool` is null one
+  /// claimer runs inline on the calling (protocol) thread — the paper's
+  /// Figure 1 coupled architecture, kept for the staged-pool ablation
+  /// bench.
   std::vector<IndexedOutcome> execute(const wire::ParsedRequest& request,
                                       const ServiceRegistry& registry,
                                       ThreadPool* pool);
@@ -104,6 +111,17 @@ class Dispatcher {
                     std::string_view side);
 
  private:
+  /// One message's calls under the fan-out cap, shared by its claimers.
+  struct Fanout;
+
+  /// Takes calls from `fanout` one at a time and runs each under its own
+  /// CallContext fields, until none is left.
+  void run_claimer(Fanout& fanout);
+
+  /// The fault for work the application stage did not admit. A full queue
+  /// (not a shutdown) counts `shed` in queue_full_shed.
+  Error refuse(const ThreadPool& pool, size_t shed);
+
   std::vector<IndexedOutcome> execute_plan_request(
       const wire::ParsedRequest& request, const ServiceRegistry& registry,
       ThreadPool* pool);

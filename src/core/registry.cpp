@@ -67,6 +67,11 @@ CallOutcome ServiceRegistry::invoke(const ServiceCall& call) const {
   } catch (const std::exception& e) {
     return Error(ErrorCode::kInternal,
                  call.service + "." + call.operation + " threw: " + e.what());
+  } catch (...) {
+    // Neither the application-stage workers nor the coupled protocol
+    // thread catch anything else: escaping here would end the process.
+    return Error(ErrorCode::kInternal, call.service + "." + call.operation +
+                                           " threw a non-standard exception");
   }
 }
 

@@ -18,6 +18,7 @@ namespace spi::core {
 
 /// An operation implementation. Returning an Error produces a per-call
 /// SOAP Fault; throwing SpiError is equivalent (caught by the invoker).
+/// Anything else thrown becomes that call's kInternal fault.
 using OperationHandler =
     std::function<Result<soap::Value>(const soap::Struct& params)>;
 

@@ -4,9 +4,10 @@
 //
 // Lifecycle of one packed message:
 //   protocol thread: read HTTP -> parse envelope -> Dispatcher.parse
-//   dispatcher: fan out M calls to the application pool, protocol thread
-//               sleeps on the fan-in WaitGroup
-//   application threads: run the M registered handlers concurrently
+//   dispatcher: post min(M, W) claimer tasks to the W-thread application
+//               pool, protocol thread sleeps on the fan-in WaitGroup
+//   application threads: the claimers run the M registered handlers,
+//               up to W at a time
 //   protocol thread (woken): Assembler packs M outcomes -> HTTP response
 //
 // The staged/coupled switch reproduces the ablation between Figure 2 and
@@ -101,9 +102,12 @@ struct ServerOptions {
   xml::ParseLimits parse_limits;
   soap::EnvelopeLimits envelope_limits;
 
-  /// Bounds the application-stage queue (0 = unbounded). With a bound, a
-  /// full queue sheds the call with a retryable CapacityExceeded fault
-  /// instead of blocking the protocol thread on its sibling stage.
+  /// Bounds the application-stage queue (0 = unbounded) in tasks: a
+  /// packed message queues at most min(M, application_threads) claimer
+  /// tasks, a plan one. When the queue admits none of a message's tasks,
+  /// its calls are shed with a retryable CapacityExceeded fault instead of
+  /// blocking the protocol thread on its sibling stage; once one claimer
+  /// is admitted, every call runs.
   size_t application_queue_capacity = 0;
 
   /// Optional adaptive concurrency limiter (AIMD on execute-stage latency)

@@ -1,13 +1,19 @@
 // Assembler + Dispatcher in isolation (no HTTP/transport): pack/unpack
-// round trips, fan-out execution semantics, response routing validation,
+// round trips, fan-out execution semantics (claimer count, concurrency,
+// deadline and capacity sheds, counters), response routing validation,
 // and the pack-cost hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <ostream>
 #include <thread>
 
+#include "concurrency/wait_group.hpp"
 #include "core/assembler.hpp"
+#include "core/call_context.hpp"
 #include "core/dispatcher.hpp"
 #include "core/params.hpp"
 #include "resilience/deadline.hpp"
@@ -303,33 +309,6 @@ TEST(DispatcherTest, ExecuteInlineWithoutPool) {
   EXPECT_EQ(dispatcher.stats().calls_dispatched, 4u);
 }
 
-TEST(DispatcherTest, ExecuteFansOutToPool) {
-  Dispatcher dispatcher;
-  ServiceRegistry registry;
-  std::atomic<int> concurrent{0};
-  std::atomic<int> max_concurrent{0};
-  (void)registry.register_operation(
-      "S", "Track", [&](const soap::Struct&) -> Result<Value> {
-        int now = ++concurrent;
-        int seen = max_concurrent.load();
-        while (now > seen && !max_concurrent.compare_exchange_weak(seen, now)) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        --concurrent;
-        return Value(true);
-      });
-
-  wire::ParsedRequest request;
-  request.packed = true;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    request.calls.push_back({i, make_call("S", "Track")});
-  }
-  ThreadPool pool(8, "app");
-  auto outcomes = dispatcher.execute(request, registry, &pool);
-  ASSERT_EQ(outcomes.size(), 8u);
-  EXPECT_GE(max_concurrent.load(), 4);  // genuinely parallel
-}
-
 TEST(DispatcherTest, ExecuteCountsFaults) {
   Dispatcher dispatcher;
   ServiceRegistry registry;
@@ -400,6 +379,286 @@ TEST(DispatcherTest, WsseVerifierEnforced) {
   auto accepted = dispatcher.parse_request(
       secured_assembler.assemble_request(calls, PackMode::kPacked));
   EXPECT_TRUE(accepted.ok()) << accepted.error().to_string();
+}
+
+// --- claimer fan-out ----------------------------------------------------------
+
+/// A packed request of `n` calls to S.Tag. Ids start at 100, so no id
+/// equals its index, and each call carries its own id as parameter "id".
+wire::ParsedRequest tag_request(size_t n) {
+  wire::ParsedRequest request;
+  request.packed = true;
+  for (size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<std::uint32_t>(100 + i);
+    request.calls.push_back(
+        {id, make_call("S", "Tag", {{"id", Value(std::int64_t{id})}})});
+  }
+  return request;
+}
+
+/// Returns the call's "id" parameter if current_call_context() carries
+/// that same call id; faults otherwise.
+Result<Value> tag(const soap::Struct& params) {
+  const CallContext* context = current_call_context();
+  const Value* id = find_param(params, "id");
+  if (context == nullptr || id == nullptr ||
+      std::int64_t{context->call_id} != id->as_int()) {
+    return Error(ErrorCode::kInternal, "call context is not this call's");
+  }
+  return *id;
+}
+
+void register_tag(ServiceRegistry& registry) {
+  (void)registry.register_operation("S", "Tag", tag);
+}
+
+/// Outcome i must carry request call i's id and, when ok, its tag.
+void expect_in_request_order(const wire::ParsedRequest& request,
+                             const std::vector<IndexedOutcome>& outcomes) {
+  ASSERT_EQ(outcomes.size(), request.calls.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].id, request.calls[i].id);
+    if (outcomes[i].outcome.ok()) {
+      EXPECT_EQ(outcomes[i].outcome.value().as_int(),
+                std::int64_t{request.calls[i].id});
+    }
+  }
+}
+
+/// Holds every worker of a pool inside a task until release() or
+/// destruction. Declare it after the pool, so the workers are freed before
+/// the pool joins them.
+class WorkerHold {
+ public:
+  explicit WorkerHold(ThreadPool& pool) {
+    CountdownLatch holding(pool.thread_count());
+    for (size_t i = 0; i < pool.thread_count(); ++i) {
+      EXPECT_TRUE(pool.submit([&holding, gate = gate_] {
+        holding.count_down();
+        gate->wait();
+      }));
+    }
+    holding.wait();
+  }
+  ~WorkerHold() { release(); }
+
+  WorkerHold(const WorkerHold&) = delete;
+  WorkerHold& operator=(const WorkerHold&) = delete;
+
+  void release() { gate_->count_down(); }
+
+ private:
+  std::shared_ptr<CountdownLatch> gate_ = std::make_shared<CountdownLatch>(1);
+};
+
+struct FanOutShape {
+  size_t calls;    // M
+  size_t workers;  // W
+};
+
+void PrintTo(const FanOutShape& shape, std::ostream* out) {
+  *out << "M=" << shape.calls << " W=" << shape.workers;
+}
+
+class DispatcherFanOutTest : public ::testing::TestWithParam<FanOutShape> {};
+
+TEST_P(DispatcherFanOutTest, ExecuteFansOutToPool) {
+  const auto [m, w] = GetParam();
+  const size_t k = std::min(m, w);
+  // The first k handlers wait until k are inside at once. A handler cannot
+  // leave before that, so the k come from k claimers running together.
+  CountdownLatch all_inside(k);
+  std::atomic<size_t> inside{0};
+  std::atomic<size_t> peak{0};
+  std::atomic<bool> rendezvous_timed_out{false};
+  ServiceRegistry registry;
+  (void)registry.register_operation(
+      "S", "Tag", [&](const soap::Struct& params) -> Result<Value> {
+        const size_t now = ++inside;
+        size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        all_inside.count_down();
+        if (!all_inside.wait_for(std::chrono::seconds(10))) {
+          rendezvous_timed_out = true;
+        }
+        --inside;
+        return tag(params);
+      });
+
+  Dispatcher dispatcher;
+  ThreadPool pool(w, "app");
+  const wire::ParsedRequest request = tag_request(m);
+  const auto outcomes = dispatcher.execute(request, registry, &pool);
+  pool.shutdown();  // joins the workers: completed_tasks() is final
+
+  EXPECT_FALSE(rendezvous_timed_out.load());
+  EXPECT_EQ(pool.completed_tasks(), k);
+  EXPECT_EQ(peak.load(), k);
+  expect_in_request_order(request, outcomes);
+  for (const IndexedOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.outcome.ok()) << outcome.outcome.error().to_string();
+  }
+  EXPECT_EQ(dispatcher.stats().calls_dispatched, m);
+}
+
+INSTANTIATE_TEST_SUITE_P(Claimers, DispatcherFanOutTest,
+                         ::testing::Values(FanOutShape{8, 8},
+                                           FanOutShape{32, 4},
+                                           FanOutShape{3, 8}),
+                         [](const auto& info) {
+                           return "M" + std::to_string(info.param.calls) +
+                                  "W" + std::to_string(info.param.workers);
+                         });
+
+TEST(DispatcherClaimerTest, DeadlineExpiringMidMessageShedsLaterPickups) {
+  // One worker, so calls are picked up in request order. The second
+  // call's handler returns only after the message's deadline has passed.
+  wire::ParsedRequest request = tag_request(6);
+  request.deadline =
+      resilience::Deadline::after(std::chrono::milliseconds(300));
+  ServiceRegistry registry;
+  (void)registry.register_operation(
+      "S", "Tag", [&](const soap::Struct& params) -> Result<Value> {
+        if (current_call_context()->call_id == request.calls[1].id) {
+          while (!request.deadline.expired(RealClock::instance().now())) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        return tag(params);
+      });
+  Dispatcher dispatcher;
+  ThreadPool pool(1, "app");
+  const auto outcomes = dispatcher.execute(request, registry, &pool);
+
+  expect_in_request_order(request, outcomes);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(outcomes[i].outcome.ok()) << "call " << i;
+  }
+  for (size_t i = 2; i < outcomes.size(); ++i) {
+    ASSERT_FALSE(outcomes[i].outcome.ok()) << "call " << i;
+    EXPECT_EQ(outcomes[i].outcome.error().code(),
+              ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(outcomes[i].outcome.error().message(),
+              "deadline expired before execute stage");
+  }
+  EXPECT_EQ(dispatcher.stats().deadline_shed, 4u);
+}
+
+TEST(DispatcherClaimerTest, OverCapCallsFaultAndPostNoTask) {
+  Dispatcher dispatcher;
+  soap::EnvelopeLimits limits;
+  limits.max_fanout = 3;
+  dispatcher.set_limits(xml::ParseLimits{}, limits);
+  ServiceRegistry registry;
+  register_tag(registry);
+  ThreadPool pool(8, "app");
+  const wire::ParsedRequest request = tag_request(8);
+  const auto outcomes = dispatcher.execute(request, registry, &pool);
+  pool.shutdown();
+
+  EXPECT_EQ(pool.completed_tasks(), 3u);  // min(M' = 3, W = 8)
+  expect_in_request_order(request, outcomes);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(outcomes[i].outcome.ok()) << "call " << i;
+  }
+  for (size_t i = 3; i < outcomes.size(); ++i) {
+    ASSERT_FALSE(outcomes[i].outcome.ok()) << "call " << i;
+    EXPECT_EQ(outcomes[i].outcome.error().code(),
+              ErrorCode::kCapacityExceeded);
+    EXPECT_EQ(outcomes[i].outcome.error().message(),
+              "envelope limit exceeded: fan-out (8 > 3 calls)");
+  }
+  EXPECT_EQ(dispatcher.stats().limit_rejected_calls, 5u);
+  EXPECT_EQ(dispatcher.stats().calls_dispatched, 3u);
+}
+
+TEST(DispatcherClaimerTest, NoClaimerAdmittedShedsEveryCallOnItsOwn) {
+  ServiceRegistry registry;
+  register_tag(registry);
+  Dispatcher dispatcher;
+  ThreadPool pool(2, "app", /*queue_capacity=*/1);
+  WorkerHold hold(pool);
+  ASSERT_TRUE(pool.try_submit([] {}));  // takes the one queue slot
+
+  const wire::ParsedRequest request = tag_request(5);
+  const auto outcomes = dispatcher.execute(request, registry, &pool);
+  expect_in_request_order(request, outcomes);
+  for (const IndexedOutcome& outcome : outcomes) {
+    ASSERT_FALSE(outcome.outcome.ok());
+    EXPECT_EQ(outcome.outcome.error().code(), ErrorCode::kCapacityExceeded);
+    EXPECT_EQ(outcome.outcome.error().message(),
+              "application stage queue is full");
+  }
+  EXPECT_EQ(dispatcher.stats().queue_full_shed, 5u);
+  EXPECT_EQ(dispatcher.stats().calls_dispatched, 0u);
+}
+
+TEST(DispatcherClaimerTest, OneAdmittedClaimerRunsEveryCall) {
+  // W = 2 held workers and one queue slot: the first claimer takes the
+  // slot and the second is refused. The intake closes before the workers
+  // are freed, so the second stays refused (queue full, or closed) however
+  // late it is tried; the closed pool still drains the admitted claimer.
+  ServiceRegistry registry;
+  register_tag(registry);
+  Dispatcher dispatcher;
+  ThreadPool pool(2, "app", /*queue_capacity=*/1);
+  const wire::ParsedRequest request = tag_request(6);
+  std::vector<IndexedOutcome> outcomes;
+  {
+    WorkerHold hold(pool);
+    std::jthread protocol(
+        [&] { outcomes = dispatcher.execute(request, registry, &pool); });
+    while (pool.queue_depth() == 0) std::this_thread::yield();
+    std::jthread closer([&] { pool.shutdown(); });
+    while (pool.accepting()) std::this_thread::yield();
+    hold.release();
+  }  // joins the closer (the pool has drained) and the protocol thread
+
+  EXPECT_EQ(pool.completed_tasks(), 3u);  // two holds, one claimer
+  expect_in_request_order(request, outcomes);
+  for (const IndexedOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.outcome.ok()) << outcome.outcome.error().to_string();
+  }
+  EXPECT_EQ(dispatcher.stats().queue_full_shed, 0u);
+  EXPECT_EQ(dispatcher.stats().calls_dispatched, 6u);
+}
+
+TEST(DispatcherClaimerTest, CountersSplitCallsReceivedUnderAFullQueue) {
+  // Every call received is counted once: dispatched when a claimer picks
+  // it up, or rejected by the fan-out cap, or shed by the full queue.
+  Dispatcher dispatcher;
+  soap::EnvelopeLimits limits;
+  limits.max_fanout = 3;
+  dispatcher.set_limits(xml::ParseLimits{}, limits);
+  ServiceRegistry registry;
+  register_tag(registry);
+  ThreadPool pool(1, "app", /*queue_capacity=*/1);
+  {
+    WorkerHold hold(pool);
+    ASSERT_TRUE(pool.try_submit([] {}));
+    (void)dispatcher.execute(tag_request(5), registry, &pool);
+
+    // A plan the queue refused was not dispatched either.
+    wire::ParsedRequest plan_request;
+    plan_request.kind = wire::ParsedRequest::Kind::kPlan;
+    PlanStep step;
+    step.service = "S";
+    step.operation = "Tag";
+    plan_request.plan.steps.push_back(step);
+    (void)dispatcher.execute(plan_request, registry, &pool);
+    EXPECT_EQ(dispatcher.stats().queue_full_shed, 3u + 1u);
+    EXPECT_EQ(dispatcher.stats().calls_dispatched, 0u);
+  }
+  while (pool.queue_depth() > 0) std::this_thread::yield();
+  (void)dispatcher.execute(tag_request(4), registry, &pool);
+
+  const Dispatcher::Stats stats = dispatcher.stats();
+  EXPECT_EQ(stats.calls_dispatched, 3u);
+  EXPECT_EQ(stats.limit_rejected_calls, 2u + 1u);
+  const std::uint64_t shed_calls = stats.queue_full_shed - 1;  // less the plan
+  EXPECT_EQ(stats.calls_dispatched + stats.limit_rejected_calls + shed_calls,
+            5u + 4u);
 }
 
 }  // namespace

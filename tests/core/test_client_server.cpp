@@ -9,6 +9,7 @@
 #include "core/server.hpp"
 #include "net/sim_transport.hpp"
 #include "net/tcp_transport.hpp"
+#include "resilience/retry.hpp"
 #include "services/echo.hpp"
 #include "services/weather.hpp"
 
@@ -222,6 +223,53 @@ TEST(SpiCoupledServerTest, CoupledModeServesPackedMessages) {
   EXPECT_EQ(bench::count_echo_errors(calls, outcomes), 0u);
   EXPECT_EQ(server.stats().application_tasks, 0u);  // no app pool exists
 }
+
+// --- a handler that throws a non-std::exception -------------------------------
+
+/// Param: ServerOptions::staged. Neither an application-stage worker nor
+/// the coupled protocol thread may let the throw end the process.
+class ThrowingHandlerTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ThrowingHandlerTest, FaultsOnlyItsCallAndServerKeepsServing) {
+  net::SimTransport transport;
+  core::ServiceRegistry registry;
+  services::register_echo_service(registry);
+  ASSERT_TRUE(registry
+                  .register_operation("Thrower", "Throw",
+                                      [](const soap::Struct&) -> Result<Value> {
+                                        throw 42;
+                                      })
+                  .ok());
+  core::ServerOptions options;
+  options.staged = GetParam();
+  core::SpiServer server(transport, net::Endpoint{"server", 80}, registry,
+                         options);
+  ASSERT_TRUE(server.start().ok());
+  core::SpiClient client(transport, server.endpoint());
+
+  const std::vector<ServiceCall> calls = {
+      core::make_call("EchoService", "Echo", {{"data", Value("sibling")}}),
+      core::make_call("Thrower", "Throw")};
+  auto outcomes = client.call_packed(calls);
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error().to_string();
+  EXPECT_EQ(outcomes[0].value().as_string(), "sibling");
+  ASSERT_FALSE(outcomes[1].ok());
+  EXPECT_EQ(resilience::fault_cause(outcomes[1].error()),
+            ErrorCode::kInternal);
+  EXPECT_NE(outcomes[1].error().message().find("Thrower.Throw threw"),
+            std::string::npos)
+      << outcomes[1].error().message();
+
+  auto next = bench::make_echo_calls(4, 16, /*seed=*/10);
+  EXPECT_EQ(bench::count_echo_errors(next, client.call_packed(next)), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothArchitectures, ThrowingHandlerTest,
+                         ::testing::Values(true, false),
+                         [](const auto& info) {
+                           return info.param ? "Staged" : "Coupled";
+                         });
 
 // --- WS-Security ------------------------------------------------------------
 
