@@ -6,6 +6,7 @@
 // Result error.
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "core/wire.hpp"
@@ -16,7 +17,8 @@ namespace {
 void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
            const spi::soap::EnvelopeLimits& envelope_limits) {
   if (auto envelope =
-          spi::soap::Envelope::parse(input, parse_limits, envelope_limits);
+          spi::soap::Envelope::parse(std::string(input), parse_limits,
+                                     envelope_limits);
       envelope.ok()) {
     (void)spi::core::wire::parse_request(envelope.value());
     (void)spi::core::wire::parse_response(envelope.value());

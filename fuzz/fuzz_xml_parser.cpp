@@ -10,6 +10,7 @@
 // suite everywhere (see fuzz/CMakeLists.txt).
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "xml/parser.hpp"
@@ -40,8 +41,8 @@ void drive(std::string_view input, const spi::xml::ParseLimits& limits) {
     }
   }
   // DOM: build and touch every view so ASan sees any dangle into the
-  // arena or the input.
-  if (auto document = spi::xml::parse_document(input, limits);
+  // arena or the adopted source.
+  if (auto document = spi::xml::parse_document(std::string(input), limits);
       document.ok()) {
     size_t touched = 0;
     walk(document.value().root, touched);

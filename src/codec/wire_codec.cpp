@@ -18,7 +18,7 @@ Result<xml::Document> WireCodec::decode_document(
     const xml::ParseLimits& limits) const {
   Result<std::string> plain = decode(wire, max_decoded_bytes);
   if (!plain.ok()) return plain.error();
-  return xml::parse_document(plain.value(), limits);
+  return xml::parse_document(std::move(plain).value(), limits);
 }
 
 Result<std::string> IdentityCodec::encode(std::string_view plain) const {

@@ -15,7 +15,11 @@ void MonotonicArena::ensure(size_t bytes) {
     return;
   }
   size_t capacity = std::max(bytes, next_chunk_bytes_);
-  chunks_.push_back(Chunk{std::make_unique<char[]>(capacity), capacity});
+  // For-overwrite: every byte handed out is written before it is read, so
+  // value-initializing the chunk would only add a zero-fill pass (and
+  // fault in every page of a large chunk up front).
+  chunks_.push_back(
+      Chunk{std::make_unique_for_overwrite<char[]>(capacity), capacity});
   used_in_current_ = 0;
   next_chunk_bytes_ = std::min(next_chunk_bytes_ * 2, kMaxChunkBytes);
 }

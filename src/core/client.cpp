@@ -80,7 +80,7 @@ Result<std::string> SpiClient::encode_request(std::string envelope,
 }
 
 Result<wire::ParsedResponse> SpiClient::parse_wire_response(
-    const http::Response& response) {
+    http::Response response) {
   std::string_view coding = "identity";
   if (auto header = response.headers.get("Content-Encoding")) {
     coding = *header;
@@ -92,7 +92,7 @@ Result<wire::ParsedResponse> SpiClient::parse_wire_response(
                      "\" not supported");
   }
   if (codec->name() == "identity") {
-    return dispatcher_.parse_response(response.body);
+    return dispatcher_.parse_response(std::move(response.body));
   }
   const size_t budget = options_.http_limits.max_body_bytes;
   if (codec->decodes_to_document()) {
@@ -107,7 +107,7 @@ Result<wire::ParsedResponse> SpiClient::parse_wire_response(
   // The modeled stack would have handled the compressed wire bytes, not
   // the expanded text: capture the parse charge and replay it at wire size.
   PackCostDeferral deferral;
-  auto parsed = dispatcher_.parse_response(plain.value());
+  auto parsed = dispatcher_.parse_response(std::move(plain).value());
   deferral.replay(response.body.size());
   return parsed;
 }
@@ -185,11 +185,12 @@ Result<std::vector<CallOutcome>> SpiClient::attempt_exchange(
 
   // Parse the envelope regardless of HTTP status: SOAP faults ride on 500
   // (HTTP binding) and packed per-call faults on 200.
-  auto parsed = parse_wire_response(response.value());
+  const int status = response.value().status;
+  auto parsed = parse_wire_response(std::move(response).value());
   if (!parsed.ok()) {
-    if (response.value().status != 200) {
+    if (status != 200) {
       return Error(ErrorCode::kProtocolError,
-                   "HTTP " + std::to_string(response.value().status) + ": " +
+                   "HTTP " + std::to_string(status) + ": " +
                        parsed.error().message());
     }
     return parsed.error();
@@ -427,7 +428,7 @@ Result<std::vector<CallOutcome>> SpiClient::execute_plan(
       http.post(options_.target, std::move(body), "text/xml", &headers);
   if (!response.ok()) return response.wrap_error("spi plan");
 
-  auto parsed = parse_wire_response(response.value());
+  auto parsed = parse_wire_response(std::move(response).value());
   if (!parsed.ok()) return parsed.error();
   return dispatcher_.route(std::move(parsed).value(), plan.steps.size());
 }

@@ -313,9 +313,9 @@ class SpiClient {
   /// Decodes a response body per its Content-Encoding header (unknown
   /// coding → kProtocolError) and parses it — through the document path
   /// for codecs that carry structure natively (bxml), through the text
-  /// dispatcher otherwise. Pack cost is charged on the wire bytes.
-  Result<wire::ParsedResponse> parse_wire_response(
-      const http::Response& response);
+  /// dispatcher otherwise. Pack cost is charged on the wire bytes. The
+  /// text parse adopts the (decoded) body, so callers move the response in.
+  Result<wire::ParsedResponse> parse_wire_response(http::Response response);
 
   net::Transport& transport_;
   net::Endpoint server_;

@@ -296,11 +296,12 @@ struct SpiClient::AsyncExchange
       }
     }
 
-    auto parsed = client->parse_wire_response(response);
+    const int status = response.status;
+    auto parsed = client->parse_wire_response(std::move(response));
     if (!parsed.ok()) {
-      if (response.status != 200) {
+      if (status != 200) {
         round_failed(Error(ErrorCode::kProtocolError,
-                           "HTTP " + std::to_string(response.status) + ": " +
+                           "HTTP " + std::to_string(status) + ": " +
                                parsed.error().message()));
       } else {
         round_failed(parsed.error());

@@ -8,7 +8,7 @@
 namespace spi::core {
 
 Result<wire::ParsedRequest> Dispatcher::parse_request(
-    std::string_view envelope_xml) {
+    std::string envelope_xml) {
   if (streaming_ && !verifier_) {
     auto streamed = wire::parse_request_streaming(envelope_xml, parse_limits_);
     if (streamed.ok()) {
@@ -32,10 +32,11 @@ Result<wire::ParsedRequest> Dispatcher::parse_request(
     // kInvalidArgument: unsupported shape (Remote_Execution) — DOM path.
   }
 
-  auto envelope =
-      soap::Envelope::parse(envelope_xml, parse_limits_, envelope_limits_);
+  const size_t wire_bytes = envelope_xml.size();
+  auto envelope = soap::Envelope::parse(std::move(envelope_xml),
+                                        parse_limits_, envelope_limits_);
   if (!envelope.ok()) return envelope.error();
-  return parse_request_envelope(envelope.value(), envelope_xml.size());
+  return parse_request_envelope(envelope.value(), wire_bytes);
 }
 
 Result<wire::ParsedRequest> Dispatcher::parse_request_document(
@@ -275,10 +276,11 @@ std::vector<IndexedOutcome> Dispatcher::execute_plan_request(
 }
 
 Result<wire::ParsedResponse> Dispatcher::parse_response(
-    std::string_view envelope_xml) {
-  auto envelope = soap::Envelope::parse(envelope_xml);
+    std::string envelope_xml) {
+  const size_t wire_bytes = envelope_xml.size();
+  auto envelope = soap::Envelope::parse(std::move(envelope_xml));
   if (!envelope.ok()) return envelope.error();
-  return parse_response_envelope(envelope.value(), envelope_xml.size());
+  return parse_response_envelope(envelope.value(), wire_bytes);
 }
 
 Result<wire::ParsedResponse> Dispatcher::parse_response_document(

@@ -67,7 +67,9 @@ class Dispatcher {
   }
 
   /// Server side, step 1: parse + validate a request envelope document.
-  Result<wire::ParsedRequest> parse_request(std::string_view envelope_xml);
+  /// The DOM path adopts `envelope_xml` (xml::parse_document); pass the
+  /// request body with std::move to parse it where it lies.
+  Result<wire::ParsedRequest> parse_request(std::string envelope_xml);
 
   /// Same, starting from a Document a binary wire codec (bxml) already
   /// built — the text tokenizer never runs. `wire_bytes` is the encoded
@@ -88,8 +90,9 @@ class Dispatcher {
                                       const ServiceRegistry& registry,
                                       ThreadPool* pool);
 
-  /// Client side, step 1: parse a response envelope document.
-  Result<wire::ParsedResponse> parse_response(std::string_view envelope_xml);
+  /// Client side, step 1: parse a response envelope document (adopted,
+  /// like parse_request's).
+  Result<wire::ParsedResponse> parse_response(std::string envelope_xml);
 
   /// Document-path twin of parse_response (see parse_request_document).
   Result<wire::ParsedResponse> parse_response_document(

@@ -140,7 +140,7 @@ SpiServer::SpiServer(net::Transport& transport, net::Endpoint at,
   http_options.read_latency = http_read_;
   http_server_ = std::make_unique<http::HttpServer>(
       transport, std::move(at),
-      [this](const http::Request& request) { return handle(request); },
+      [this](http::Request&& request) { return handle(std::move(request)); },
       http_options);
 
   register_instruments(transport);
@@ -479,7 +479,7 @@ http::Response SpiServer::handle_healthz() {
                               std::move(body), "application/json");
 }
 
-http::Response SpiServer::handle(const http::Request& request) {
+http::Response SpiServer::handle(http::Request&& request) {
   if (request.method == "GET") {
     if (request.target == "/metrics") return handle_metrics();
     if (request.target == "/healthz") return handle_healthz();
@@ -581,7 +581,9 @@ http::Response SpiServer::handle(const http::Request& request) {
 
   telemetry::ScopedSpan parse_span(span_parse_);
   auto parsed = [&]() -> Result<wire::ParsedRequest> {
-    if (!encoded_request) return dispatcher_.parse_request(request.body);
+    if (!encoded_request) {
+      return dispatcher_.parse_request(std::move(request.body));
+    }
     if (request_codec->decodes_to_document()) {
       auto document = request_codec->decode_document(
           request.body, decoded_budget, options_.parse_limits);
@@ -593,7 +595,7 @@ http::Response SpiServer::handle(const http::Request& request) {
     // stack only ever copied the wire bytes — capture the parse charge and
     // replay it at the encoded size.
     PackCostDeferral deferral;
-    auto result = dispatcher_.parse_request(decoded_body);
+    auto result = dispatcher_.parse_request(std::move(decoded_body));
     deferral.replay(request.body.size());
     return result;
   }();

@@ -187,7 +187,8 @@ class SpiServer {
   const http::HttpServer& http_server() const { return *http_server_; }
 
  private:
-  http::Response handle(const http::Request& request);
+  /// Consumes the request body: the parse adopts it (no copy).
+  http::Response handle(http::Request&& request);
   http::Response handle_wsdl(const http::Request& request);
   http::Response handle_metrics();
   http::Response handle_healthz();

@@ -15,6 +15,9 @@ namespace {
 /// Gather width per try_sendv call (matches the transport's own cap).
 constexpr size_t kMaxSendvSegments = 64;
 constexpr size_t kReceiveChunk = 64 * 1024;
+/// Outbox segments per exchange: the serialized request head, then the
+/// request body (moved from the caller, never copied).
+constexpr size_t kSegmentsPerExchange = 2;
 }  // namespace
 
 /// All mutable state lives here and is touched ONLY on the reactor loop
@@ -30,7 +33,8 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
   struct Exchange {
     RequestId id = kInvalidRequest;
     net::Endpoint endpoint;
-    std::string wire;
+    std::string head;  // Request::serialize_head()
+    std::string body;  // the request body, moved in
     Callback done;
     TimerWheel::TimerId deadline = TimerWheel::kInvalidTimer;
     Conn* conn = nullptr;   // null while queued
@@ -52,9 +56,9 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
     TimerWheel::TimerId drain_timer = TimerWheel::kInvalidTimer;
     MessageParser parser;
     std::deque<std::unique_ptr<Exchange>> inflight;
-    /// Outbound bytes not yet accepted by the kernel: one segment per
-    /// exchange (the serialized request, moved, never copied), drained
-    /// with try_sendv where the transport gathers natively.
+    /// Outbound bytes not yet accepted by the kernel: kSegmentsPerExchange
+    /// segments per exchange (head, then the moved body), drained with
+    /// try_sendv where the transport gathers natively.
     std::deque<std::string> outbox;
     size_t outbox_off = 0;  // into outbox.front()
     std::uint64_t served = 0;
@@ -144,14 +148,17 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
     // non-idempotent call must not execute server-side, and the
     // connection then has no stale response to drain. The unwritten
     // outbox segments map onto the pipeline TAIL, so this is exactly the
-    // case "ex is inflight.back() and its segment is outbox.back() with
-    // no byte of it consumed".
+    // case "ex is inflight.back() and its head and body are the last two
+    // outbox segments, with no byte of the head consumed".
+    const size_t segments = conn->outbox.size();
     bool tail = !conn->inflight.empty() && conn->inflight.back().get() == ex;
-    bool unwritten = !conn->outbox.empty() &&
-                     conn->outbox.size() <= conn->inflight.size() &&
-                     (conn->outbox.size() > 1 || conn->outbox_off == 0);
+    bool unwritten =
+        segments >= kSegmentsPerExchange &&
+        segments <= kSegmentsPerExchange * conn->inflight.size() &&
+        (segments > kSegmentsPerExchange || conn->outbox_off == 0);
     if (tail && unwritten) {
-      conn->outbox.pop_back();
+      conn->outbox.erase(conn->outbox.end() - kSegmentsPerExchange,
+                         conn->outbox.end());
       conn->inflight.pop_back();
       if (!conn->connecting) update_interest(conn);
       maybe_arm_drain(conn);
@@ -292,7 +299,7 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
   }
 
   /// Hands an exchange to a connection: it joins the pipeline (response
-  /// order = write order) and its serialized request joins the outbox.
+  /// order = write order) and its head and body join the outbox.
   void assign(Conn* conn, std::unique_ptr<Exchange> ex) {
     ex->conn = conn;
     if (!conn->connecting) {
@@ -303,7 +310,8 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
     if (!conn->inflight.empty()) {
       pipelined.fetch_add(1, std::memory_order_relaxed);
     }
-    conn->outbox.push_back(std::move(ex->wire));
+    conn->outbox.push_back(std::move(ex->head));
+    conn->outbox.push_back(std::move(ex->body));
     conn->inflight.push_back(std::move(ex));
     // A live exchange behind stale ones must not be reaped by the drain
     // timer.
@@ -516,7 +524,8 @@ AsyncHttpClient::RequestId AsyncHttpClient::send(const net::Endpoint& endpoint,
   auto ex = std::make_unique<Impl::Exchange>();
   ex->id = impl_->next_id.fetch_add(1, std::memory_order_relaxed);
   ex->endpoint = endpoint;
-  ex->wire = request.serialize();
+  ex->head = request.serialize_head();
+  ex->body = std::move(request.body);
   ex->done = std::move(done);
   RequestId id = ex->id;
   impl_->requests.fetch_add(1, std::memory_order_relaxed);

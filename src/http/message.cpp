@@ -51,25 +51,38 @@ bool message_keep_alive(const Headers& headers) {
   }
   return true;
 }
-}  // namespace
 
-std::string Request::serialize() const {
-  std::string out;
-  out.reserve(method.size() + target.size() + body.size() + 128);
-  out += method;
+/// Request line, headers (Content-Length from the body, Host if absent)
+/// and the blank line, appended to `out`.
+void append_request_head(const Request& request, std::string& out) {
+  out += request.method;
   out += ' ';
-  out += target;
+  out += request.target;
   out += " HTTP/1.1\r\n";
-  Headers effective = headers;
+  Headers effective = request.headers;
   effective.set("Content-Length", [&] {
     std::string n;
-    append_u64(n, body.size());
+    append_u64(n, request.body.size());
     return n;
   }());
   if (!effective.contains("Host")) effective.set("Host", "localhost");
   effective.serialize(out);
   out += "\r\n";
+}
+}  // namespace
+
+std::string Request::serialize() const {
+  std::string out;
+  out.reserve(method.size() + target.size() + body.size() + 128);
+  append_request_head(*this, out);
   out += body;
+  return out;
+}
+
+std::string Request::serialize_head() const {
+  std::string out;
+  out.reserve(method.size() + target.size() + 128);
+  append_request_head(*this, out);
   return out;
 }
 

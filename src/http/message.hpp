@@ -55,6 +55,12 @@ struct Request {
   /// stale value) and Host if absent.
   std::string serialize() const;
 
+  /// Wire form of everything before the body: request line, headers (with
+  /// Content-Length and Host as serialize() sets them), terminating blank
+  /// line. serialize() == serialize_head() + body; the async client sends
+  /// [head, body] as two segments with the body moved, never copied.
+  std::string serialize_head() const;
+
   /// Wire form using chunked transfer-encoding: the body is framed as
   /// `chunk_bytes`-sized chunks (message chunking per Chiu et al. §2.2 —
   /// lets a sender stream a body it hasn't finished producing).

@@ -99,7 +99,7 @@ class HttpServer::ReactorConn final
           Response response;
           bool failed = false;
           try {
-            response = self->server_.handler_(request);
+            response = self->server_.handler_(std::move(request));
           } catch (const std::exception& e) {
             SPI_LOG(kError, "http.server") << "handler threw: " << e.what();
             response = Response::make(500, "Internal Server Error", e.what());
@@ -487,7 +487,7 @@ class HttpServer::BlockingConn final
         Response response;
         bool failed = false;
         try {
-          response = server_.handler_(*request);
+          response = server_.handler_(std::move(*request));
         } catch (const std::exception& e) {
           SPI_LOG(kError, "http.server") << "handler threw: " << e.what();
           response = Response::make(500, "Internal Server Error", e.what());

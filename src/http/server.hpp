@@ -114,8 +114,10 @@ class HttpServer {
   /// The handler may block (the SPI server blocks it on the application
   /// stage's completion, which is the paper's "sleeping protocol thread"
   /// behaviour). It runs on a protocol-pool thread under both drivers —
-  /// never on a reactor loop.
-  using Handler = std::function<Response(const Request&)>;
+  /// never on a reactor loop. The request is handed over as an rvalue, so
+  /// a handler may move its body into a parse instead of copying it; a
+  /// handler written against `const Request&` binds just the same.
+  using Handler = std::function<Response(Request&&)>;
 
   HttpServer(net::Transport& transport, net::Endpoint at, Handler handler,
              ServerOptions options = {});

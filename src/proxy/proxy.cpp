@@ -141,7 +141,7 @@ PackingProxy::PackingProxy(net::Transport& transport, net::Endpoint at,
   http_options.limits = options_.http_limits;
   http_server_ = std::make_unique<http::HttpServer>(
       transport, std::move(at),
-      [this](const http::Request& request) { return handle(request); },
+      [this](http::Request&& request) { return handle(std::move(request)); },
       http_options);
 }
 
@@ -643,7 +643,7 @@ http::Response PackingProxy::handle_healthz() {
                               std::move(body), "application/json");
 }
 
-http::Response PackingProxy::handle(const http::Request& request) {
+http::Response PackingProxy::handle(http::Request&& request) {
   if (request.method == "GET") {
     if (request.target == "/metrics") return handle_metrics();
     if (request.target == "/healthz") return handle_healthz();
@@ -682,7 +682,7 @@ http::Response PackingProxy::handle(const http::Request& request) {
   const size_t decoded_budget = options_.http_limits.max_body_bytes;
   auto parsed = [&]() -> Result<core::wire::ParsedRequest> {
     if (request_codec->name() == "identity") {
-      return dispatcher_.parse_request(request.body);
+      return dispatcher_.parse_request(std::move(request.body));
     }
     if (request_codec->decodes_to_document()) {
       auto document = request_codec->decode_document(
@@ -693,7 +693,7 @@ http::Response PackingProxy::handle(const http::Request& request) {
     }
     auto plain = request_codec->decode(request.body, decoded_budget);
     if (!plain.ok()) return plain.wrap_error("decode request");
-    return dispatcher_.parse_request(plain.value());
+    return dispatcher_.parse_request(std::move(plain).value());
   }();
   if (!parsed.ok()) {
     SPI_LOG(kDebug, "spi.proxy")

@@ -213,7 +213,8 @@ class PackingProxy {
     bool shed = false;  ///< backend (or local limiter) shed the sub-pack
   };
 
-  http::Response handle(const http::Request& request);
+  /// Consumes the request body: the parse adopts it (no copy).
+  http::Response handle(http::Request&& request);
   http::Response handle_metrics();
   http::Response handle_healthz();
 

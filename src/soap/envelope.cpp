@@ -53,10 +53,10 @@ Error envelope_limit_error(std::string_view limit, size_t count,
 }
 }  // namespace
 
-Result<Envelope> Envelope::parse(std::string_view text,
+Result<Envelope> Envelope::parse(std::string text,
                                  const xml::ParseLimits& parse_limits,
                                  const EnvelopeLimits& limits) {
-  auto document = xml::parse_document(text, parse_limits);
+  auto document = xml::parse_document(std::move(text), parse_limits);
   if (!document.ok()) return document.wrap_error("SOAP envelope");
   return from_document(std::move(document).value(), limits);
 }

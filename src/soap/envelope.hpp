@@ -72,9 +72,9 @@ struct EnvelopeLimits {
   size_t max_header_blocks = 64;
 };
 
-/// A received envelope, parsed to DOM. The Document owns the arena every
+/// A received envelope, parsed to DOM. The Document owns the bytes every
 /// element view borrows from; header/body entries point into it, so an
-/// Envelope is self-contained (parse copies the input) and move-only.
+/// Envelope is self-contained (parse adopts the input) and move-only.
 /// Entry pointers target children-vector storage and stay valid across
 /// moves of the Envelope.
 struct Envelope {
@@ -86,10 +86,11 @@ struct Envelope {
   /// Body element children (operation request/response elements).
   std::vector<const xml::Element*> body_entries;
 
-  /// Parses and validates Envelope/Header?/Body structure. `parse_limits`
-  /// bounds the XML tokenizer; `limits` bounds the envelope shape
-  /// (header/body entry counts — fan-out is the Dispatcher's job).
-  static Result<Envelope> parse(std::string_view text,
+  /// Parses and validates Envelope/Header?/Body structure. The Document
+  /// adopts `text` (see xml::parse_document). `parse_limits` bounds the
+  /// XML tokenizer; `limits` bounds the envelope shape (header/body entry
+  /// counts — fan-out is the Dispatcher's job).
+  static Result<Envelope> parse(std::string text,
                                 const xml::ParseLimits& parse_limits = {},
                                 const EnvelopeLimits& limits = {});
 

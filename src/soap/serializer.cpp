@@ -185,7 +185,7 @@ Result<Value> read_value(const xml::Element& element) {
 }
 
 Result<Value> value_from_xml(std::string_view xml_fragment) {
-  auto document = xml::parse_document(xml_fragment);
+  auto document = xml::parse_document(std::string(xml_fragment));
   if (!document.ok()) return document.error();
   return read_value(document.value().root);
 }

@@ -109,7 +109,7 @@ std::string generate_wsdl(const ServiceDescription& description) {
 }
 
 Result<ServiceDescription> parse_wsdl(std::string_view wsdl_xml) {
-  auto document = xml::parse_document(wsdl_xml);
+  auto document = xml::parse_document(std::string(wsdl_xml));
   if (!document.ok()) return document.wrap_error("WSDL");
   const xml::Element& root = document.value().root;
   if (root.local_name() != "definitions") {

@@ -396,19 +396,21 @@ void write_element(Writer& writer, const Element& element) {
   writer.end_element();
 }
 
-/// Concatenates adjacent text/CDATA runs into the document arena. Rare
-/// (mixed content or split CDATA); the single-run case stays zero-copy.
-void append_text(Element& element, std::string_view run,
-                 MonotonicArena& arena) {
-  if (element.text.empty()) {
-    element.text = run;
-    return;
+/// Joins an element's text runs into one arena buffer. Called once per
+/// element, at its end tag, so every input byte is copied at most once:
+/// merged bytes never exceed the input, however many comments, PIs or
+/// child elements split the runs.
+std::string_view join_runs(std::span<const std::string_view> runs,
+                           MonotonicArena& arena) {
+  size_t total = 0;
+  for (std::string_view run : runs) total += run.size();
+  char* merged = arena.allocate(total);
+  size_t offset = 0;
+  for (std::string_view run : runs) {
+    std::memcpy(merged + offset, run.data(), run.size());
+    offset += run.size();
   }
-  if (run.empty()) return;
-  char* merged = arena.allocate(element.text.size() + run.size());
-  std::memcpy(merged, element.text.data(), element.text.size());
-  std::memcpy(merged + element.text.size(), run.data(), run.size());
-  element.text = std::string_view(merged, element.text.size() + run.size());
+  return std::string_view(merged, total);
 }
 }  // namespace
 
@@ -425,16 +427,23 @@ std::string Document::to_string(bool pretty) const {
   return writer.take();
 }
 
-Result<Document> parse_document(std::string_view input,
+Result<Document> parse_document(std::string input,
                                 const ParseLimits& limits) {
   Document document;
-  // Interning the input first makes the Document self-contained: every
-  // view in the DOM points into the arena, never at caller memory, so a
-  // Document safely outlives a temporary input buffer.
-  document.arena = MonotonicArena(input.size() + 64);
-  std::string_view stable_input = document.arena.intern(input);
-  PullParser parser(stable_input, &document.arena, limits);
-  std::vector<Element*> stack;
+  // Adopt the input: the DOM's views point straight into it, and the
+  // pointer keeps those bytes where they are when the Document moves.
+  document.source = std::make_unique<const std::string>(std::move(input));
+  PullParser parser(*document.source, &document.arena, limits);
+
+  // One frame per open element. An element with a single text run keeps
+  // it as a view (no copy, the SOAP payload case); from its second run on,
+  // the runs collect in `runs` and are joined once, at the end tag.
+  struct Frame {
+    Element* element;
+    size_t first_run;  // where this element's runs start in `runs`
+  };
+  std::vector<Frame> stack;
+  std::vector<std::string_view> runs;
   bool have_root = false;
 
   while (true) {
@@ -451,27 +460,42 @@ Result<Document> parse_document(std::string_view input,
             return Error(ErrorCode::kParseError, "multiple root elements");
           }
           document.root = std::move(element);
-          stack.push_back(&document.root);
+          stack.push_back(Frame{&document.root, runs.size()});
           have_root = true;
         } else {
           // Appending may reallocate the children vector of the parent but
           // never of the grandparents, so raw pointers into the stack stay
           // valid as long as we re-take the address after push_back.
-          Element* parent = stack.back();
+          Element* parent = stack.back().element;
           parent->children.push_back(std::move(element));
-          stack.push_back(&parent->children.back());
+          stack.push_back(Frame{&parent->children.back(), runs.size()});
         }
         break;
       }
-      case TokenType::kEndElement:
+      case TokenType::kEndElement: {
+        const Frame& frame = stack.back();
+        if (runs.size() > frame.first_run) {
+          frame.element->text = join_runs(
+              std::span(runs).subspan(frame.first_run), document.arena);
+          runs.resize(frame.first_run);
+        }
         stack.pop_back();
         break;
+      }
       case TokenType::kText:
-      case TokenType::kCData:
-        if (!stack.empty()) {
-          append_text(*stack.back(), token.value().text, document.arena);
+      case TokenType::kCData: {
+        std::string_view run = token.value().text;
+        if (stack.empty() || run.empty()) break;
+        const Frame& frame = stack.back();
+        Element& element = *frame.element;
+        if (element.text.empty()) {
+          element.text = run;
+        } else {
+          if (runs.size() == frame.first_run) runs.push_back(element.text);
+          runs.push_back(run);
         }
         break;
+      }
       case TokenType::kComment:
       case TokenType::kProcessingInstruction:
       case TokenType::kDeclaration:

@@ -10,11 +10,12 @@
 // Zero-copy contract: tokens and DOM nodes hold std::string_view, never
 // owning strings. A Token's views borrow from the parser's input buffer,
 // or — when a run needed entity expansion — from the parser's scratch
-// arena; both live as long as the parser. A Document's views borrow from
-// the arena owned by that Document (parse_document interns the input, so
-// the Document is self-contained and safely outlives the input buffer).
-// Consumers that need data beyond those lifetimes copy explicitly
-// (OwnedToken, std::string(view)).
+// arena; both live as long as the parser. A Document owns the bytes it
+// was parsed from: parse_document adopts its input string (moved in, not
+// copied), and the DOM's views borrow from that string or from the
+// Document's arena, so a Document is self-contained. Consumers that need
+// data beyond those lifetimes copy explicitly (OwnedToken,
+// std::string(view)).
 #pragma once
 
 #include <memory>
@@ -165,7 +166,7 @@ class PullParser {
 /// DOM node. Children are element nodes; direct character data is
 /// concatenated into `text` (sufficient for SOAP, where mixed content
 /// does not carry meaning). Name/text/attribute views borrow from the
-/// owning Document's arena.
+/// owning Document's source bytes or arena.
 class Element {
  public:
   std::string_view name;              // qualified name as written
@@ -195,12 +196,17 @@ class Element {
   friend bool operator==(const Element&, const Element&) = default;
 };
 
-/// The DOM plus the arena every view in it borrows from. parse_document
-/// interns the input into the arena first, so a Document never dangles
-/// into caller memory; it is movable (arena chunks are stable under move)
-/// but not copyable.
+/// The DOM plus the bytes every view in it borrows from: the adopted
+/// source text and the arena (entity expansions, joined text runs).
+/// Movable but not copyable. Both stay put when a Document moves: the
+/// source sits behind a pointer (a short std::string keeps its bytes
+/// inside the string object, so moving the string itself would strand
+/// every view) and arena chunks are separately allocated.
 struct Document {
   Element root;
+  /// The text parse_document adopted; null for a Document built without
+  /// text (the bxml decoder), whose views all point into the arena.
+  std::unique_ptr<const std::string> source;
   MonotonicArena arena;
 
   Document() = default;
@@ -213,8 +219,11 @@ struct Document {
 };
 
 /// Parses a complete document into a DOM. Comments/PIs are dropped.
+/// The Document adopts `input`: its views point into those bytes, so a
+/// caller that hands over its buffer with std::move pays no copy, and one
+/// that holds only a view writes the copy itself (std::string(view)).
 /// `limits` bounds what a hostile document may cost (see ParseLimits).
-Result<Document> parse_document(std::string_view input,
+Result<Document> parse_document(std::string input,
                                 const ParseLimits& limits = {});
 
 /// SAX-style callbacks. Default implementations ignore events. Views are

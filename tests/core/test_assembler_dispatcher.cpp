@@ -11,6 +11,7 @@
 #include <ostream>
 #include <thread>
 
+#include "codec/deflate.hpp"
 #include "concurrency/wait_group.hpp"
 #include "core/assembler.hpp"
 #include "core/call_context.hpp"
@@ -286,6 +287,43 @@ TEST(DispatcherTest, ParseRequestRejectsGarbage) {
   EXPECT_FALSE(dispatcher.parse_request("not xml at all").ok());
   EXPECT_FALSE(dispatcher.parse_request("<NotEnvelope/>").ok());
   EXPECT_EQ(dispatcher.stats().envelopes, 0u);
+}
+
+// A deflate-coded body inflates into a fresh string, which each parse then
+// adopts: the request and the response still round-trip.
+TEST(DispatcherTest, DeflateCodedBodiesRoundTripThroughAdoptingParse) {
+  const codec::DeflateCodec deflate;
+  Assembler assembler;
+  Dispatcher server_side;
+  Dispatcher client_side;
+  ServiceRegistry registry;
+  register_echo(registry);
+  auto calls = echo_calls(5);
+
+  auto request_wire =
+      deflate.encode(assembler.assemble_request(calls, PackMode::kPacked));
+  ASSERT_TRUE(request_wire.ok());
+  auto request_text = deflate.decode(request_wire.value(), 1u << 20);
+  ASSERT_TRUE(request_text.ok()) << request_text.error().to_string();
+  auto request = server_side.parse_request(std::move(request_text).value());
+  ASSERT_TRUE(request.ok()) << request.error().to_string();
+  ASSERT_EQ(request.value().calls.size(), calls.size());
+
+  auto outcomes = server_side.execute(request.value(), registry, nullptr);
+  auto response_wire = deflate.encode(assembler.assemble_response(
+      outcomes, request.value().calls.front().call, request.value().packed));
+  ASSERT_TRUE(response_wire.ok());
+  auto response_text = deflate.decode(response_wire.value(), 1u << 20);
+  ASSERT_TRUE(response_text.ok()) << response_text.error().to_string();
+  auto response = client_side.parse_response(std::move(response_text).value());
+  ASSERT_TRUE(response.ok()) << response.error().to_string();
+  auto routed = client_side.route(std::move(response).value(), calls.size());
+  ASSERT_TRUE(routed.ok()) << routed.error().to_string();
+  for (size_t i = 0; i < calls.size(); ++i) {
+    ASSERT_TRUE(routed.value()[i].ok()) << routed.value()[i].error().to_string();
+    EXPECT_EQ(routed.value()[i].value(),
+              Value("payload-" + std::to_string(i)));
+  }
 }
 
 TEST(DispatcherTest, ExecuteInlineWithoutPool) {

@@ -118,7 +118,7 @@ TEST(PlanWireTest, SerializeParseRoundTrip) {
 
 TEST(PlanWireTest, ParseRejectsMalformedPlans) {
   auto parse_fragment = [](std::string_view xml) {
-    auto document = xml::parse_document(xml);
+    auto document = xml::parse_document(std::string(xml));
     EXPECT_TRUE(document.ok());
     return parse_plan(document.value().root);
   };

@@ -17,7 +17,7 @@ namespace {
 using soap::Value;
 
 Result<ParsedRequest> dom_parse(std::string_view envelope_xml) {
-  auto envelope = soap::Envelope::parse(envelope_xml);
+  auto envelope = soap::Envelope::parse(std::string(envelope_xml));
   if (!envelope.ok()) return envelope.error();
   return parse_request(envelope.value());
 }

@@ -447,6 +447,51 @@ TEST_F(ProxyTest, CodecsNegotiateIndependentlyPerHop) {
       std::string::npos);
 }
 
+// Deflate on both hops and in both directions: the proxy and each backend
+// inflate the request into a fresh string that the parse adopts, and the
+// client does the same with the merged response.
+TEST_F(ProxyTest, DeflateRoundTripsThroughProxyAndBackends) {
+  core::ServerOptions backend_options;
+  start_backends(2, backend_options);
+  ProxyOptions options = fleet_options();
+  options.backend_request_codec = "deflate";
+  options.backend_accept_codecs = {"deflate"};
+  start_proxy(std::move(options));
+
+  core::ClientOptions client_options;
+  client_options.request_codec = "deflate";
+  client_options.accept_codecs = {"deflate"};
+  auto client = make_client(std::move(client_options));
+
+  std::vector<ServiceCall> calls;
+  for (int i = 0; i < 12; ++i) {
+    calls.push_back(core::make_call(
+        "EchoService", "Echo",
+        {{"key", Value("k" + std::to_string(i))},
+         {"data", Value(std::string(64 + i, 'a' + static_cast<char>(i)))}}));
+  }
+  auto outcomes = client->call_packed(calls);
+  ASSERT_EQ(outcomes.size(), calls.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error().to_string();
+    EXPECT_EQ(outcomes[i].value(),
+              Value(std::string(64 + i, 'a' + static_cast<char>(i))));
+  }
+
+  const std::string proxy_metrics = proxy_->metrics().expose();
+  EXPECT_NE(
+      proxy_metrics.find("spi_codec_negotiations_total{codec=\"deflate\"} 1"),
+      std::string::npos)
+      << proxy_metrics;
+  std::string backend_metrics;
+  for (const auto& backend : backends_) {
+    backend_metrics += backend->server->metrics().expose();
+  }
+  EXPECT_NE(
+      backend_metrics.find("spi_codec_decoded_bytes_total{codec=\"deflate\"}"),
+      std::string::npos);
+}
+
 // --- runtime ring membership ------------------------------------------------
 
 TEST_F(ProxyTest, FleetMembershipChangesMoveOnlyTheChangedMembersKeys) {

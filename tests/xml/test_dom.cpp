@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/arena.hpp"
 #include "common/random.hpp"
 #include "xml/parser.hpp"
@@ -141,6 +147,103 @@ TEST(DomPropertyTest, RoundTripWithSpecialCharacters) {
   auto reparsed = parse_document(element.to_string());
   ASSERT_TRUE(reparsed.ok()) << reparsed.error().to_string();
   EXPECT_EQ(reparsed.value().root, element);
+}
+
+// --- a Document owns the bytes it parses -----------------------------------
+
+bool lies_within(std::string_view view, const char* begin, size_t size) {
+  const auto first = reinterpret_cast<std::uintptr_t>(begin);
+  const auto at = reinterpret_cast<std::uintptr_t>(view.data());
+  return at >= first && at + view.size() <= first + size;
+}
+
+TEST(DomAdoptionTest, ViewsPointIntoTheAdoptedBuffer) {
+  const std::string payload(4096, 'x');
+  std::string input =
+      R"(<envelope id="7"><payload>)" + payload + "</payload></envelope>";
+  const char* buffer = input.data();
+  const size_t size = input.size();
+  auto doc = parse_document(std::move(input));
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  const Element& root = doc.value().root;
+  ASSERT_EQ(root.children.size(), 1u);
+  EXPECT_EQ(root.children[0].text, payload);
+  // No copy anywhere: names, attribute values and text all view the very
+  // buffer the caller moved in, and the arena stays untouched.
+  EXPECT_TRUE(lies_within(root.children[0].text, buffer, size));
+  EXPECT_TRUE(lies_within(root.name, buffer, size));
+  ASSERT_TRUE(root.attribute("id").has_value());
+  EXPECT_TRUE(lies_within(*root.attribute("id"), buffer, size));
+  EXPECT_EQ(doc.value().arena.bytes_reserved(), 0u);
+}
+
+// 14 bytes: std::string keeps an input this short inside the string object
+// itself, so a Document holding the string by value would strand its views
+// on the first move. Every earlier home below is freed before the views
+// are read, which ASan reports if they still point there.
+TEST(DomAdoptionTest, ShortInputViewsSurviveMovesAndResultUnwrap) {
+  std::string input = R"(<r a="v">t</r>)";
+  ASSERT_LE(input.size(), 15u);
+  Result<Document> parsed = parse_document(std::move(input));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  Result<Document> handed_on = std::move(parsed);
+  auto boxed = std::make_unique<Document>(std::move(handed_on).value());
+  std::vector<Document> shelf;
+  shelf.push_back(std::move(*boxed));
+  boxed.reset();
+  shelf.reserve(shelf.capacity() + 8);  // reallocation moves it again
+  Document last = std::move(shelf.front());
+  shelf.clear();
+  shelf.shrink_to_fit();
+
+  EXPECT_EQ(last.root.name, "r");
+  EXPECT_EQ(last.root.attribute("a"), "v");
+  EXPECT_EQ(last.root.text, "t");
+  ASSERT_NE(last.source, nullptr);
+  EXPECT_TRUE(lies_within(last.root.text, last.source->data(),
+                          last.source->size()));
+  EXPECT_EQ(last.to_string(), R"(<?xml version="1.0" encoding="UTF-8"?>)"
+                              R"(<r a="v">t</r>)");
+}
+
+// --- text runs join once, at the end tag ------------------------------------
+
+TEST(DomTextJoinTest, RunsSplitByMarkupJoinExactly) {
+  auto doc = parse_document("<e>a<x/>b<!---->c</e>");
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  EXPECT_EQ(doc.value().root.text, "abc");
+  ASSERT_EQ(doc.value().root.children.size(), 1u);
+  EXPECT_EQ(doc.value().root.children[0].name, "x");
+}
+
+TEST(DomTextJoinTest, NestedElementsJoinOnlyTheirOwnRuns) {
+  auto doc = parse_document(
+      "<e>a<x>1<?pi?>2<y>q<!---->r</y>3</x>b<![CDATA[<c>]]>&amp;d</e>");
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  const Element& e = doc.value().root;
+  EXPECT_EQ(e.text, "ab<c>&d");
+  ASSERT_EQ(e.children.size(), 1u);
+  const Element& x = e.children[0];
+  EXPECT_EQ(x.text, "123");
+  ASSERT_EQ(x.children.size(), 1u);
+  EXPECT_EQ(x.children[0].text, "qr");
+}
+
+// The hostile shape: each comment splits the text into one more run. Were
+// every run to re-copy the text accumulated so far, 40,000 runs would cost
+// ~800 MB of arena for 320 KB of input; joined once, merged bytes stay
+// within the input.
+TEST(DomTextJoinTest, ManySplitRunsCostNoMoreThanTheInput) {
+  constexpr size_t kRuns = 40000;
+  std::string input = "<e>";
+  for (size_t i = 0; i < kRuns; ++i) input += "a<!---->";
+  input += "</e>";
+  const size_t input_bytes = input.size();
+  auto doc = parse_document(std::move(input));
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  EXPECT_EQ(doc.value().root.text, std::string(kRuns, 'a'));
+  EXPECT_LE(doc.value().arena.bytes_used(), input_bytes);
+  EXPECT_LE(doc.value().arena.bytes_reserved(), input_bytes);
 }
 
 }  // namespace

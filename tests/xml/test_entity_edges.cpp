@@ -93,7 +93,7 @@ TEST(EntityEdgeTest, CDataCloserSplitAcrossAdjacentSections) {
   EXPECT_EQ(tokens[2].text, ">b");
   EXPECT_EQ(text_of(tokens), "a]]>b");
 
-  auto doc = parse_document(input);
+  auto doc = parse_document(std::string(input));
   ASSERT_TRUE(doc.ok()) << doc.error().to_string();
   EXPECT_EQ(doc.value().root.text, "a]]>b");
 }
@@ -105,7 +105,7 @@ TEST(EntityEdgeTest, AllFivePredefinedEntitiesInAttributeValue) {
   ASSERT_EQ(tokens[0].attributes.size(), 1u);
   EXPECT_EQ(tokens[0].attributes[0].value, "&<>\"'");
 
-  auto doc = parse_document(input);
+  auto doc = parse_document(std::string(input));
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.value().root.attribute("all"), "&<>\"'");
 
