@@ -1,18 +1,88 @@
 // libFuzzer target for the SOAP layer above the tokenizer: envelope
 // parsing (DOM path with default and tiny EnvelopeLimits), the wire-format
-// request parser, and its single-pass streaming twin. This is the exact
-// byte path a hostile client reaches through POST /spi, minus sockets.
+// request parser, its single-pass streaming twin, and the relay's pack and
+// reply views (core/wire_view.hpp). This is the exact byte path a hostile
+// client reaches through POST /spi, minus sockets.
 // Invariants: no crash, no sanitizer report, every rejection is a clean
-// Result error.
+// Result error — and, differentially, the views accept exactly what the DOM
+// path (Dispatcher::parse_request / parse_response) accepts, with the same
+// ids, services, operations, shard keys and outcomes. A mismatch aborts.
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
+#include "core/dispatcher.hpp"
 #include "core/wire.hpp"
+#include "core/wire_view.hpp"
 #include "soap/envelope.hpp"
 
 namespace {
+
+using spi::core::wire::ParsedRequest;
+
+void require(bool holds) {
+  if (!holds) std::abort();
+}
+
+/// PackingProxy::route_key's rule on a decoded call.
+std::string dom_key(const spi::core::ServiceCall& call,
+                    std::string_view shard_param) {
+  for (const auto& [name, value] : call.params) {
+    if (name == shard_param && value.is_string()) return value.as_string();
+  }
+  return call.service + "/" + call.operation;
+}
+
+void check_request_view(std::string_view input,
+                        const spi::xml::ParseLimits& parse_limits,
+                        const spi::soap::EnvelopeLimits& envelope_limits) {
+  constexpr std::string_view kShardParam = "key";
+  spi::core::Dispatcher dom(nullptr, {}, /*streaming=*/false);
+  dom.set_limits(parse_limits, envelope_limits);
+  auto parsed = dom.parse_request(std::string(input));
+  auto viewed = spi::core::wire::view_request(input, parse_limits,
+                                              envelope_limits, kShardParam);
+  if (viewed.ok() && viewed.value().kind == ParsedRequest::Kind::kPlan) {
+    // Plans are left to the DOM path, which may still reject them.
+    require(!parsed.ok() || parsed.value().kind == ParsedRequest::Kind::kPlan);
+    return;
+  }
+  require(parsed.ok() == viewed.ok());
+  if (!parsed.ok()) return;
+  const ParsedRequest& request = parsed.value();
+  const spi::core::wire::PackView& view = viewed.value();
+  require(request.kind == view.kind && request.packed == view.packed);
+  require(request.trace == view.trace);
+  require(request.calls.size() == view.calls.size());
+  for (size_t i = 0; i < view.calls.size(); ++i) {
+    const spi::core::IndexedCall& call = request.calls[i];
+    require(call.id == view.calls[i].id);
+    require(call.call.service == view.calls[i].service);
+    require(call.call.operation == view.calls[i].operation);
+    require(dom_key(call.call, kShardParam) == view.calls[i].route_key);
+  }
+}
+
+void check_reply_view(std::string_view input) {
+  spi::core::Dispatcher dom;
+  auto parsed = dom.parse_response(std::string(input));
+  auto viewed = spi::core::wire::view_response(input);
+  require(parsed.ok() == viewed.ok());
+  if (!parsed.ok()) return;
+  const auto& decoded = parsed.value().outcomes;
+  const auto& relayed = viewed.value().outcomes;
+  require(parsed.value().packed == viewed.value().packed);
+  require(decoded.size() == relayed.size());
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    require(decoded[i].id == relayed[i].id);
+    require(decoded[i].outcome.ok() == relayed[i].outcome.ok());
+    if (!decoded[i].outcome.ok()) {
+      require(decoded[i].outcome.error() == relayed[i].outcome.error());
+    }
+  }
+}
 
 void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
            const spi::soap::EnvelopeLimits& envelope_limits) {
@@ -23,7 +93,9 @@ void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
     (void)spi::core::wire::parse_request(envelope.value());
     (void)spi::core::wire::parse_response(envelope.value());
   }
-  (void)spi::core::wire::parse_request_streaming(input, parse_limits);
+  (void)spi::core::wire::parse_request_streaming(input, parse_limits,
+                                                 envelope_limits);
+  check_request_view(input, parse_limits, envelope_limits);
 }
 
 }  // namespace
@@ -31,6 +103,7 @@ void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, size_t size) {
   std::string_view input(reinterpret_cast<const char*>(data), size);
   drive(input, spi::xml::ParseLimits{}, spi::soap::EnvelopeLimits{});
+  check_reply_view(input);
 
   spi::xml::ParseLimits tiny_parse;
   tiny_parse.max_depth = 8;

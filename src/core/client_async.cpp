@@ -24,8 +24,11 @@
 
 namespace spi::core {
 
+template <class Call>
 struct SpiClient::AsyncExchange
-    : std::enable_shared_from_this<SpiClient::AsyncExchange> {
+    : std::enable_shared_from_this<SpiClient::AsyncExchange<Call>> {
+  using ExchangeResult = Result<Outcomes<Call>>;
+
   enum class Phase {
     kMessage,  // flying the whole batch; failures replay everything
     kRepack,   // server answered once; replaying only failed sub-calls
@@ -33,9 +36,9 @@ struct SpiClient::AsyncExchange
 
   SpiClient* client;
   http::AsyncHttpClient* http;
-  std::vector<ServiceCall> calls;  // the original batch, request order
+  std::vector<Call> calls;  // the original batch, request order
   PackMode mode;
-  PackedCallbackEx done;
+  Completion<Call> done;
 
   // Captured on the CALLER thread at submit time, exactly like the
   // blocking path captures them on entry to exchange().
@@ -44,7 +47,7 @@ struct SpiClient::AsyncExchange
 
   Phase phase = Phase::kMessage;
   int attempts = 1;  // attempts made so far (1-based, like exchange())
-  std::vector<CallOutcome> outcomes;          // filled by the first success
+  Outcomes<Call> outcomes;                    // filled by the first success
   std::optional<Error> replay_error;          // message-level replay failure
   Duration max_retry_after = Duration::zero();
 
@@ -52,8 +55,8 @@ struct SpiClient::AsyncExchange
   std::uint64_t round_seq = 0;        // bumped per round; guards callbacks
   // The calls this round ships: the caller's batch itself in the first
   // round, the re-pack subset afterwards. Never a copy of `calls`.
-  std::span<const ServiceCall> round_calls;
-  std::vector<ServiceCall> repack_calls;  // kRepack: failed sub-calls
+  std::span<const Call> round_calls;
+  std::vector<Call> repack_calls;     // kRepack: failed sub-calls
   std::vector<size_t> round_slots;    // kRepack: outcome slot per round call
   PackMode round_mode = PackMode::kPacked;
   bool round_idempotent = false;
@@ -94,15 +97,6 @@ struct SpiClient::AsyncExchange
     }
   }
 
-  bool all_idempotent(std::span<const ServiceCall> subset) const {
-    const auto& idempotent = client->retry_policy_.options().idempotent;
-    if (!idempotent) return false;
-    for (const ServiceCall& call : subset) {
-      if (!idempotent(call.service, call.operation)) return false;
-    }
-    return true;
-  }
-
   void note_retry_after(Duration hint) {
     if (hint > max_retry_after) max_retry_after = hint;
   }
@@ -124,7 +118,7 @@ struct SpiClient::AsyncExchange
     round_settled = false;
     primary_error.reset();
     round_retry_after = Duration::zero();
-    round_idempotent = all_idempotent(round_calls);
+    round_idempotent = client->all_idempotent(round_calls);
 
     TimePoint now = RealClock::instance().now();
     if (deadline.expired(now)) {
@@ -183,7 +177,7 @@ struct SpiClient::AsyncExchange
 
     std::optional<Duration> hedge_delay = round_hedge_delay();
     hedge_request = hedge_delay ? request : http::Request{};
-    auto self = shared_from_this();
+    auto self = this->shared_from_this();
     std::uint64_t seq = round_seq;
     primary_id = http->send(
         client->server_, std::move(request), round_timeout,
@@ -222,7 +216,7 @@ struct SpiClient::AsyncExchange
     TimePoint now = RealClock::instance().now();
     Duration timeout = min_timeout(client->options_.receive_timeout,
                                    deadline.remaining_or_unbounded(now));
-    auto self = shared_from_this();
+    auto self = this->shared_from_this();
     hedge_id = http->send(
         client->server_, std::move(hedge_request), timeout,
         [self, seq](Result<http::Response> r) {
@@ -296,20 +290,7 @@ struct SpiClient::AsyncExchange
       }
     }
 
-    const int status = response.status;
-    auto parsed = client->parse_wire_response(std::move(response));
-    if (!parsed.ok()) {
-      if (status != 200) {
-        round_failed(Error(ErrorCode::kProtocolError,
-                           "HTTP " + std::to_string(status) + ": " +
-                               parsed.error().message()));
-      } else {
-        round_failed(parsed.error());
-      }
-      return;
-    }
-    auto routed = client->dispatcher_.route(std::move(parsed).value(),
-                                            round_calls.size());
+    auto routed = client->read_reply(std::move(response), round_calls);
     if (!routed.ok()) {
       round_failed(routed.error());
       return;
@@ -320,10 +301,7 @@ struct SpiClient::AsyncExchange
       phase = Phase::kRepack;
     } else {
       replay_error.reset();
-      auto& replayed = routed.value();
-      for (size_t k = 0; k < round_slots.size(); ++k) {
-        outcomes[round_slots[k]] = std::move(replayed[k]);
-      }
+      merge_replay(outcomes, routed.value(), round_slots);
     }
     evaluate_repack();
   }
@@ -331,10 +309,11 @@ struct SpiClient::AsyncExchange
   // The server answered; decide whether failed retryable sub-calls earn
   // another (partial) round, mirroring exchange()'s re-pack loop.
   void evaluate_repack() {
+    const auto& settled = outcomes_of(outcomes);
     std::vector<size_t> failed;
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].ok() &&
-          resilience::classify(outcomes[i].error()) !=
+    for (size_t i = 0; i < settled.size(); ++i) {
+      if (!settled[i].ok() &&
+          resilience::classify(settled[i].error()) !=
               resilience::FaultClass::kTerminal) {
         failed.push_back(i);
       }
@@ -344,14 +323,14 @@ struct SpiClient::AsyncExchange
       return;
     }
 
-    std::vector<ServiceCall> subset;
+    std::vector<Call> subset;
     subset.reserve(failed.size());
     for (size_t i : failed) subset.push_back(calls[i]);
 
     const Error& gate =
-        replay_error ? *replay_error : outcomes[failed.front()].error();
-    if (!client->retry_policy_.should_retry(gate, attempts,
-                                            all_idempotent(subset))) {
+        replay_error ? *replay_error : settled[failed.front()].error();
+    if (!client->retry_policy_.should_retry(
+            gate, attempts, client->all_idempotent<Call>(subset))) {
       complete(std::move(outcomes));  // keep the per-call faults
       return;
     }
@@ -382,8 +361,8 @@ struct SpiClient::AsyncExchange
       evaluate_repack();
       return;
     }
-    if (client->retry_policy_.should_retry(error, attempts,
-                                           all_idempotent(calls))) {
+    if (client->retry_policy_.should_retry(
+            error, attempts, client->all_idempotent<Call>(calls))) {
       Duration pause =
           client->retry_policy_.backoff(attempts, round_retry_after);
       if (!deadline.valid() ||
@@ -399,7 +378,7 @@ struct SpiClient::AsyncExchange
   // The async form of sleep_backoff(): a wheel timer instead of a
   // blocked thread.
   void schedule_round(Duration pause) {
-    auto self = shared_from_this();
+    auto self = this->shared_from_this();
     if (pause <= Duration::zero()) {
       http->reactor().post([self] { self->begin_round(); });
       return;
@@ -407,13 +386,13 @@ struct SpiClient::AsyncExchange
     http->reactor().schedule(pause, [self] { self->begin_round(); });
   }
 
-  void complete(PackedResult result) {
+  void complete(ExchangeResult result) {
     if (completed) return;
     cancel_hedge_timer();
     finish(std::move(result));
   }
 
-  void finish(PackedResult result) {
+  void finish(ExchangeResult result) {
     completed = true;
     done(std::move(result), max_retry_after);
     // Decrement AFTER the callback: ~SpiClient waits for zero so no
@@ -436,6 +415,18 @@ void SpiClient::execute_packed_async(std::vector<ServiceCall> calls,
 
 void SpiClient::execute_packed_async(std::vector<ServiceCall> calls,
                                      PackMode mode, PackedCallbackEx done) {
+  start_async(std::move(calls), mode, Completion<ServiceCall>(std::move(done)));
+}
+
+void SpiClient::execute_packed_async(std::span<const wire::CallView> calls,
+                                     PackMode mode, RelayedCallback done) {
+  start_async(std::vector<wire::CallView>(calls.begin(), calls.end()), mode,
+              Completion<wire::CallView>(std::move(done)));
+}
+
+template <class Call>
+void SpiClient::start_async(std::vector<Call> calls, PackMode mode,
+                            Completion<Call> done) {
   if (calls.empty()) {
     done(Error(ErrorCode::kInvalidArgument, "empty call batch"),
          Duration::zero());
@@ -448,7 +439,7 @@ void SpiClient::execute_packed_async(std::vector<ServiceCall> calls,
     return;
   }
 
-  auto ex = std::make_shared<AsyncExchange>();
+  auto ex = std::make_shared<AsyncExchange<Call>>();
   ex->client = this;
   ex->http = options_.async_client;
   ex->calls = std::move(calls);

@@ -10,19 +10,14 @@ namespace spi::core {
 Result<wire::ParsedRequest> Dispatcher::parse_request(
     std::string envelope_xml) {
   if (streaming_ && !verifier_) {
-    auto streamed = wire::parse_request_streaming(envelope_xml, parse_limits_);
+    auto streamed = wire::parse_request_streaming(envelope_xml, parse_limits_,
+                                                  envelope_limits_);
     if (streamed.ok()) {
       envelopes_.fetch_add(1, std::memory_order_relaxed);
       if (streamed.value().packed) {
         packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
         pack_cost_.charge(envelope_xml.size(),
                           streamed.value().calls.size());
-      }
-      // The streaming parser skips header blocks; the deadline still has
-      // to make it through, so recover it from the raw document.
-      if (auto deadline = resilience::Deadline::scan(
-              envelope_xml, RealClock::instance().now())) {
-        streamed.value().deadline = *deadline;
       }
       return streamed;
     }
@@ -307,28 +302,33 @@ Result<wire::ParsedResponse> Dispatcher::parse_response_envelope(
   return parsed;
 }
 
-Result<std::vector<CallOutcome>> Dispatcher::route(
-    wire::ParsedResponse response, size_t expected_calls) {
+namespace {
+
+/// Dispatcher::route over either kind of indexed outcome.
+template <class Indexed>
+auto route_indexed(std::vector<Indexed>& outcomes, bool packed,
+                   size_t expected_calls)
+    -> Result<std::vector<decltype(Indexed::outcome)>> {
+  using Outcome = decltype(Indexed::outcome);
   // A message-level Fault (traditional single-Fault body answering a
   // packed request — e.g. a handler-chain veto or admission rejection)
   // applies to every call in the batch.
-  if (!response.packed && response.outcomes.size() == 1 &&
-      !response.outcomes.front().outcome.ok() && expected_calls != 1) {
-    std::vector<CallOutcome> replicated;
+  if (!packed && outcomes.size() == 1 && !outcomes.front().outcome.ok() &&
+      expected_calls != 1) {
+    std::vector<Outcome> replicated;
     replicated.reserve(expected_calls);
     for (size_t i = 0; i < expected_calls; ++i) {
-      replicated.push_back(response.outcomes.front().outcome);
+      replicated.push_back(outcomes.front().outcome);
     }
     return replicated;
   }
-  if (response.outcomes.size() != expected_calls) {
+  if (outcomes.size() != expected_calls) {
     return Error(ErrorCode::kProtocolError,
                  "expected " + std::to_string(expected_calls) +
-                     " responses, got " +
-                     std::to_string(response.outcomes.size()));
+                     " responses, got " + std::to_string(outcomes.size()));
   }
-  std::vector<std::optional<CallOutcome>> slots(expected_calls);
-  for (IndexedOutcome& indexed : response.outcomes) {
+  std::vector<std::optional<Outcome>> slots(expected_calls);
+  for (Indexed& indexed : outcomes) {
     if (indexed.id >= expected_calls) {
       return Error(ErrorCode::kProtocolError,
                    "response id " + std::to_string(indexed.id) +
@@ -340,12 +340,52 @@ Result<std::vector<CallOutcome>> Dispatcher::route(
     }
     slots[indexed.id] = std::move(indexed.outcome);
   }
-  std::vector<CallOutcome> ordered;
+  std::vector<Outcome> ordered;
   ordered.reserve(expected_calls);
   for (auto& slot : slots) {
     ordered.push_back(std::move(*slot));  // all present: counts matched
   }
   return ordered;
+}
+
+}  // namespace
+
+Result<std::vector<CallOutcome>> Dispatcher::route(
+    wire::ParsedResponse response, size_t expected_calls) {
+  return route_indexed(response.outcomes, response.packed, expected_calls);
+}
+
+Result<wire::PackView> Dispatcher::view_request(std::string_view envelope_xml,
+                                                std::string_view shard_param) {
+  auto view = wire::view_request(envelope_xml, parse_limits_,
+                                 envelope_limits_, shard_param);
+  if (view.ok() && view.value().kind != wire::ParsedRequest::Kind::kPlan) {
+    envelopes_.fetch_add(1, std::memory_order_relaxed);
+    if (view.value().packed) {
+      packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
+      pack_cost_.charge(envelope_xml.size(), view.value().calls.size());
+    }
+  }
+  return view;
+}
+
+Result<wire::ReplyView> Dispatcher::view_response(
+    std::string_view envelope_xml) {
+  // parse_response's bounds: the defaults, whatever set_limits installed.
+  auto view = wire::view_response(envelope_xml);
+  if (view.ok()) {
+    envelopes_.fetch_add(1, std::memory_order_relaxed);
+    if (view.value().packed) {
+      packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
+      pack_cost_.charge(envelope_xml.size(), view.value().outcomes.size());
+    }
+  }
+  return view;
+}
+
+Result<std::vector<wire::RelayedOutcome>> Dispatcher::route(
+    wire::ReplyView response, size_t expected_calls) {
+  return route_indexed(response.outcomes, response.packed, expected_calls);
 }
 
 Dispatcher::Stats Dispatcher::stats() const {

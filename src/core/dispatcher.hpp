@@ -13,6 +13,7 @@
 #include "core/pack_cost.hpp"
 #include "core/registry.hpp"
 #include "core/wire.hpp"
+#include "core/wire_view.hpp"
 #include "soap/wsse.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -104,6 +105,24 @@ class Dispatcher {
   /// on a response the server dropped).
   Result<std::vector<CallOutcome>> route(wire::ParsedResponse response,
                                          size_t expected_calls);
+
+  // --- relay side (the packing proxy, DESIGN.md §15) -------------------------
+
+  /// Views a request envelope in one pass (wire::view_request) under this
+  /// dispatcher's limits, counted and charged as parse_request counts and
+  /// charges a parse. A plan comes back as kPlan, unread and uncounted:
+  /// parse it with parse_request. Verifies no WS-Security header.
+  Result<wire::PackView> view_request(std::string_view envelope_xml,
+                                      std::string_view shard_param);
+
+  /// Views a response envelope (wire::view_response), counted and charged
+  /// as parse_response would be.
+  Result<wire::ReplyView> view_response(std::string_view envelope_xml);
+
+  /// route() for a viewed reply: the same id checks and the same
+  /// replication of a message-level fault.
+  Result<std::vector<wire::RelayedOutcome>> route(wire::ReplyView response,
+                                                  size_t expected_calls);
 
   Stats stats() const;
 

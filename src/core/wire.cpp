@@ -1,6 +1,7 @@
 #include "core/wire.hpp"
 
 #include "common/string_util.hpp"
+#include "core/wire_view.hpp"
 #include "soap/serializer.hpp"
 #include "soap/streaming.hpp"
 #include "xml/writer.hpp"
@@ -247,69 +248,18 @@ Result<soap::Struct> stream_params(xml::PullParser& parser,
 
 }  // namespace
 
-Result<ParsedRequest> parse_request_streaming(std::string_view envelope_xml,
-                                              const xml::ParseLimits& limits) {
-  xml::PullParser parser(envelope_xml, nullptr, limits);
-
-  // Walk to the Envelope start.
-  xml::Token envelope;
-  while (true) {
-    auto token = parser.next();
-    if (!token.ok()) return token.error();
-    if (token.value().type == xml::TokenType::kStartElement) {
-      envelope = std::move(token).value();
-      break;
-    }
-    if (token.value().type == xml::TokenType::kEndOfDocument) {
-      return Error(ErrorCode::kProtocolError, "empty document");
-    }
-  }
-  if (token_local(envelope) != "Envelope") {
-    return Error(ErrorCode::kProtocolError,
-                 "root element is <" + std::string(envelope.name) +
-                     ">, expected Envelope");
-  }
-
-  // Children of Envelope: skip Header subtree(s), find Body.
-  while (true) {
-    auto token = parser.next();
-    if (!token.ok()) return token.error();
-    if (token.value().type == xml::TokenType::kEndElement ||
-        token.value().type == xml::TokenType::kEndOfDocument) {
-      return Error(ErrorCode::kProtocolError, "envelope has no Body");
-    }
-    if (token.value().type != xml::TokenType::kStartElement) continue;
-    if (token_local(token.value()) == "Body") break;
-    // Header or foreign block: skip wholesale.
-    if (!token.value().self_closing) {
-      if (Status skipped = soap::skip_subtree(parser, token.value());
-          !skipped.ok()) {
-        return skipped.error();
-      }
-    } else {
-      auto end = parser.next();
-      if (!end.ok()) return end.error();
-    }
-  }
-
-  // The single body entry.
-  xml::Token entry;
-  while (true) {
-    auto token = parser.next();
-    if (!token.ok()) return token.error();
-    if (token.value().type == xml::TokenType::kEndElement) {
-      return Error(ErrorCode::kProtocolError, "request body is empty");
-    }
-    if (token.value().type == xml::TokenType::kStartElement) {
-      entry = std::move(token).value();
-      break;
-    }
-    if (token.value().type == xml::TokenType::kEndOfDocument) {
-      return Error(ErrorCode::kProtocolError, "truncated envelope");
-    }
-  }
+Result<ParsedRequest> parse_request_streaming(
+    std::string_view envelope_xml, const xml::ParseLimits& limits,
+    const soap::EnvelopeLimits& envelope_limits) {
+  EnvelopeReader reader(envelope_xml, nullptr, limits, envelope_limits);
+  auto opened = reader.open_entry("request");
+  if (!opened.ok()) return opened.error();
+  const xml::Token entry = opened.value();
+  xml::PullParser& parser = reader.parser();
 
   ParsedRequest parsed;
+  parsed.trace = reader.trace();
+  parsed.deadline = reader.deadline();
   if (token_local(entry) == "Remote_Execution") {
     // Plans are rare and small; reuse the DOM reference path.
     return Error(ErrorCode::kInvalidArgument,
@@ -319,63 +269,64 @@ Result<ParsedRequest> parse_request_streaming(std::string_view envelope_xml,
   if (token_local(entry) == "Parallel_Method") {
     parsed.kind = ParsedRequest::Kind::kPacked;
     parsed.packed = true;
-    if (!entry.self_closing) {
-      while (true) {
-        auto token = parser.next();
-        if (!token.ok()) return token.error();
-        if (token.value().type == xml::TokenType::kEndElement) break;
-        if (token.value().type != xml::TokenType::kStartElement) continue;
-        if (token_local(token.value()) != "Call") {
-          return Error(ErrorCode::kProtocolError,
-                       "unexpected <" + std::string(token.value().name) +
-                           "> in Parallel_Method");
-        }
-        IndexedCall indexed;
-        auto id = token_attribute(token.value(), "id");
-        auto parsed_id = id ? parse_u64(*id) : std::nullopt;
-        if (!parsed_id || *parsed_id > 0xffffffffULL) {
-          return Error(ErrorCode::kProtocolError,
-                       "spi:Call missing/invalid id attribute");
-        }
-        indexed.id = static_cast<std::uint32_t>(*parsed_id);
-        auto service = token_attribute(token.value(), "service");
-        auto operation = token_attribute(token.value(), "operation");
-        if (!service || service->empty() || !operation ||
-            operation->empty()) {
-          return Error(ErrorCode::kProtocolError,
-                       "spi:Call missing service/operation attribute");
-        }
-        indexed.call.service = std::string(*service);
-        indexed.call.operation = std::string(*operation);
-        auto params = stream_params(parser, token.value());
-        if (!params.ok()) return params.error();
-        indexed.call.params = std::move(params).value();
-        parsed.calls.push_back(std::move(indexed));
+    // A self-closing Parallel_Method yields its synthesized end at once.
+    while (true) {
+      auto token = parser.next();
+      if (!token.ok()) return token.error();
+      if (token.value().type == xml::TokenType::kEndElement) break;
+      if (token.value().type != xml::TokenType::kStartElement) continue;
+      if (token_local(token.value()) != "Call") {
+        return Error(ErrorCode::kProtocolError,
+                     "unexpected <" + std::string(token.value().name) +
+                         "> in Parallel_Method");
       }
+      IndexedCall indexed;
+      auto id = token_attribute(token.value(), "id");
+      auto parsed_id = id ? parse_u64(*id) : std::nullopt;
+      if (!parsed_id || *parsed_id > 0xffffffffULL) {
+        return Error(ErrorCode::kProtocolError,
+                     "spi:Call missing/invalid id attribute");
+      }
+      indexed.id = static_cast<std::uint32_t>(*parsed_id);
+      auto service = token_attribute(token.value(), "service");
+      auto operation = token_attribute(token.value(), "operation");
+      if (!service || service->empty() || !operation ||
+          operation->empty()) {
+        return Error(ErrorCode::kProtocolError,
+                     "spi:Call missing service/operation attribute");
+      }
+      indexed.call.service = std::string(*service);
+      indexed.call.operation = std::string(*operation);
+      auto params = stream_params(parser, token.value());
+      if (!params.ok()) return params.error();
+      indexed.call.params = std::move(params).value();
+      parsed.calls.push_back(std::move(indexed));
     }
     if (parsed.calls.empty()) {
       return Error(ErrorCode::kProtocolError, "Parallel_Method has no calls");
     }
-    return parsed;
+  } else {
+    // Traditional single call.
+    IndexedCall indexed;
+    indexed.id = 0;
+    indexed.call.operation = std::string(token_local(entry));
+    if (auto service = token_attribute(entry, "spi:service")) {
+      indexed.call.service = std::string(*service);
+    }
+    if (indexed.call.service.empty()) {
+      return Error(ErrorCode::kProtocolError,
+                   "request is missing the spi:service attribute");
+    }
+    auto params = stream_params(parser, entry);
+    if (!params.ok()) return params.error();
+    indexed.call.params = std::move(params).value();
+    parsed.kind = ParsedRequest::Kind::kSingle;
+    parsed.packed = false;
+    parsed.calls.push_back(std::move(indexed));
   }
-
-  // Traditional single call.
-  IndexedCall indexed;
-  indexed.id = 0;
-  indexed.call.operation = std::string(token_local(entry));
-  if (auto service = token_attribute(entry, "spi:service")) {
-    indexed.call.service = std::string(*service);
+  if (Status closed = reader.close("request"); !closed.ok()) {
+    return closed.error();
   }
-  if (indexed.call.service.empty()) {
-    return Error(ErrorCode::kProtocolError,
-                 "request is missing the spi:service attribute");
-  }
-  auto params = stream_params(parser, entry);
-  if (!params.ok()) return params.error();
-  indexed.call.params = std::move(params).value();
-  parsed.kind = ParsedRequest::Kind::kSingle;
-  parsed.packed = false;
-  parsed.calls.push_back(std::move(indexed));
   return parsed;
 }
 

@@ -1,13 +1,15 @@
 // SPI-aware L7 packing proxy (DESIGN.md §15). The paper's travel-agent
 // scenario is one client packing M calls to ONE server; production is a
 // fleet. This front tier understands the pack instead of treating it as an
-// opaque body: it parses the incoming Parallel_Method, routes each
-// sub-call by shard key over a consistent-hash ring of backends, RE-PACKS
-// a per-backend Parallel_Method per ring owner, scatters the sub-packs
-// concurrently over pooled keep-alive connections, and merges the
-// responses back into one Parallel_Response carrying the ORIGINAL call
-// ids. A backend failure therefore faults (or re-routes) only the
-// sub-calls that lived on that backend — never the whole pack.
+// opaque body: it views the incoming Parallel_Method in one pass, routes
+// each sub-call by shard key over a consistent-hash ring of backends,
+// SPLICES a per-backend Parallel_Method per ring owner out of the calls'
+// bytes, scatters the sub-packs concurrently over pooled keep-alive
+// connections, and merges the responses' bytes back into one
+// Parallel_Response carrying the ORIGINAL call ids. Payloads are never
+// decoded into values; only faults are. A backend failure therefore
+// faults (or re-routes) only the sub-calls that lived on that backend —
+// never the whole pack.
 //
 // Resilience at the hop: each backend is gated by its own CircuitBreaker
 // (shared CircuitBreakerSet) and an optional per-backend AIMD adaptive
@@ -173,6 +175,8 @@ class PackingProxy {
 
   /// The shard key handle() derives for a call — exposed so tests and
   /// benches can predict placements without re-implementing the rule.
+  /// handle() reads the same key off the wire (wire::CallView::route_key)
+  /// without decoding the call.
   std::string route_key(const core::ServiceCall& call) const;
 
   Stats stats() const;
@@ -205,16 +209,25 @@ class PackingProxy {
   struct Group {
     Backend* backend = nullptr;
     std::vector<size_t> slots;  ///< positions in the origin message
-    std::vector<core::ServiceCall> calls;
-    /// Scatter result: outcomes[i] answers slots[i].
-    Result<std::vector<core::CallOutcome>> result{
-        std::vector<core::CallOutcome>{}};
+    /// The sub-calls, viewed in the origin envelope (calls[i] sits at
+    /// slots[i]).
+    std::vector<core::wire::CallView> calls;
+    /// Scatter result: outcomes[i] answers slots[i]; it also holds the
+    /// backend reply bytes the outcomes point into.
+    core::SpiClient::RelayedResult result{core::RelayedPack{}};
     Duration retry_after = Duration::zero();
     bool shed = false;  ///< backend (or local limiter) shed the sub-pack
   };
 
-  /// Consumes the request body: the parse adopts it (no copy).
+  /// Consumes the request body: it is viewed where it lies, and the
+  /// sub-packs and the merge copy their bytes out of it.
   http::Response handle(http::Request&& request);
+
+  /// A Remote_Execution plan rides whole to the ring member its first
+  /// step names, through the DOM path (plans are small dependency chains).
+  http::Response forward_plan(const core::wire::ParsedRequest& plan,
+                              const telemetry::TraceContext& forward_trace,
+                              const codec::WireCodec& response_codec);
   http::Response handle_metrics();
   http::Response handle_healthz();
 
@@ -244,17 +257,26 @@ class PackingProxy {
 
   /// The second pass: sub-calls whose outcome is retryable-and-safe are
   /// re-packed onto surviving ring members (route_excluding the failed
-  /// set) and their slots in `outcomes` overwritten on success.
+  /// set) and their slots in `outcomes` overwritten on success. The
+  /// re-packs land in `regroups`, which must outlive `outcomes` (the
+  /// survivors' reply bytes live there).
   void reroute_failures(std::vector<Group>& groups,
-                        std::vector<core::CallOutcome>& outcomes,
+                        std::vector<core::wire::RelayedOutcome>& outcomes,
+                        std::vector<Group>& regroups,
                         const resilience::Deadline& deadline,
                         const telemetry::TraceContext& trace,
                         core::PackMode mode);
+
+  /// Backend bookkeeping once a sub-pack settles: faults counted, shed
+  /// classified.
+  static void settle_group(Group& group, core::SpiClient::RelayedResult result);
 
   std::string encode_response(const codec::WireCodec& codec,
                               std::string plain, std::string* applied);
 
   std::unique_ptr<Backend> make_backend(const net::Endpoint& endpoint);
+  /// Rebuilds by_member_ after a membership change (fleet lock held).
+  void index_members();
   std::unique_ptr<http::HttpClient> checkout_connection(Backend& backend);
   void checkin_connection(Backend& backend,
                           std::unique_ptr<http::HttpClient> http);
@@ -268,7 +290,7 @@ class PackingProxy {
   telemetry::MetricsRegistry* metrics_;
   const codec::CodecRegistry* codecs_;
   resilience::CircuitBreakerSet breakers_;
-  core::Dispatcher dispatcher_;  // client<->proxy hop: parse requests
+  core::Dispatcher dispatcher_;  // client<->proxy hop: view requests
   core::Assembler assembler_;    // client<->proxy hop: merge responses
   std::string retry_after_value_;
 
@@ -283,6 +305,9 @@ class PackingProxy {
   mutable std::shared_mutex fleet_mutex_;
   HashRing ring_;
   std::map<net::Endpoint, std::unique_ptr<Backend>> fleet_;
+  /// fleet_'s backends in ring_.members() order, so a routed call finds
+  /// its Backend by ring_.route_index() alone.
+  std::vector<Backend*> by_member_;
   /// Removed backends parked until destruction: scatter legs hold raw
   /// Backend pointers past the fleet lock, so membership changes must
   /// never free a Backend mid-flight.

@@ -18,9 +18,11 @@ constexpr std::string_view kUsClose = "</spi:RemainingUs>";
 /// malformed rather than scheduling work for the year 2200.
 constexpr std::int64_t kMaxWireBudgetUs = 365LL * 24 * 3600 * 1000000LL;
 
-std::optional<Deadline> anchor(std::string_view remaining_us_text,
-                               TimePoint now) {
-  std::string_view text = trim(remaining_us_text);
+}  // namespace
+
+std::optional<Deadline> Deadline::from_remaining_us(std::string_view text,
+                                                    TimePoint now) {
+  text = trim(text);
   bool negative = false;
   if (!text.empty() && text.front() == '-') {
     negative = true;
@@ -33,8 +35,6 @@ std::optional<Deadline> anchor(std::string_view remaining_us_text,
   auto magnitude = std::chrono::microseconds(static_cast<std::int64_t>(*value));
   return Deadline::at(negative ? now - magnitude : now + magnitude);
 }
-
-}  // namespace
 
 Duration Deadline::remaining_or_unbounded(TimePoint now) const {
   if (!has_deadline_) return Duration::zero();  // kNoTimeout: unbounded
@@ -70,7 +70,7 @@ std::optional<Deadline> Deadline::from_header_block(const xml::Element& block,
   if (block.local_name() != "Deadline") return std::nullopt;
   const xml::Element* remaining = block.first_child("RemainingUs");
   if (!remaining) return std::nullopt;
-  return anchor(remaining->text_trimmed(), now);
+  return from_remaining_us(remaining->text_trimmed(), now);
 }
 
 std::optional<Deadline> Deadline::from_header_blocks(
@@ -97,7 +97,8 @@ std::optional<Deadline> Deadline::scan(std::string_view envelope_xml,
   size_t value_begin = us_open + kUsOpen.size();
   size_t us_close = window.find(kUsClose, value_begin);
   if (us_close == std::string_view::npos) return std::nullopt;
-  return anchor(window.substr(value_begin, us_close - value_begin), now);
+  return from_remaining_us(window.substr(value_begin, us_close - value_begin),
+                           now);
 }
 
 const Deadline* current_deadline() { return g_current_deadline; }

@@ -69,6 +69,12 @@ class Deadline {
   static std::optional<Deadline> from_header_block(const xml::Element& block,
                                                    TimePoint now);
 
+  /// The deadline a spi:RemainingUs text (signed microseconds) carries,
+  /// anchored at `now`; nullopt when the text is malformed or out of
+  /// range. Shared by every reader of the header.
+  static std::optional<Deadline> from_remaining_us(std::string_view text,
+                                                   TimePoint now);
+
   /// First spi:Deadline among an envelope's header blocks, if any.
   static std::optional<Deadline> from_header_blocks(
       const std::vector<const xml::Element*>& blocks, TimePoint now);

@@ -43,7 +43,6 @@ std::string build_envelope(
   return writer.take();
 }
 
-namespace {
 Error envelope_limit_error(std::string_view limit, size_t count,
                            size_t bound) {
   return Error(ErrorCode::kCapacityExceeded,
@@ -51,7 +50,6 @@ Error envelope_limit_error(std::string_view limit, size_t count,
                    std::to_string(count) + " > " + std::to_string(bound) +
                    ")");
 }
-}  // namespace
 
 Result<Envelope> Envelope::parse(std::string text,
                                  const xml::ParseLimits& parse_limits,

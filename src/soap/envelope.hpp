@@ -72,6 +72,10 @@ struct EnvelopeLimits {
   size_t max_header_blocks = 64;
 };
 
+/// The kCapacityExceeded error for a violated count limit:
+/// "envelope limit exceeded: <limit> (<count> > <bound>)".
+Error envelope_limit_error(std::string_view limit, size_t count, size_t bound);
+
 /// A received envelope, parsed to DOM. The Document owns the bytes every
 /// element view borrows from; header/body entries point into it, so an
 /// Envelope is self-contained (parse adopts the input) and move-only.

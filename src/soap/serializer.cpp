@@ -21,7 +21,35 @@ const char* xsi_type_of(const Value& value) {
   return "xsd:anyType";
 }
 
-Result<std::int64_t> parse_int(std::string_view text) {
+}  // namespace
+
+DeclaredType declared_type(std::string_view xsi_type) {
+  // Strip the namespace prefix: "xsd:int" -> "int".
+  if (size_t colon = xsi_type.rfind(':'); colon != std::string_view::npos) {
+    xsi_type = xsi_type.substr(colon + 1);
+  }
+  if (xsi_type == "boolean") return DeclaredType::kBoolean;
+  if (xsi_type == "int" || xsi_type == "long" || xsi_type == "short" ||
+      xsi_type == "byte" || xsi_type == "integer") {
+    return DeclaredType::kInt;
+  }
+  if (xsi_type == "double" || xsi_type == "float" || xsi_type == "decimal") {
+    return DeclaredType::kDouble;
+  }
+  if (xsi_type == "string") return DeclaredType::kString;
+  if (xsi_type == "Array") return DeclaredType::kArray;
+  if (xsi_type == "Struct") return DeclaredType::kStruct;
+  return DeclaredType::kInferred;
+}
+
+Result<bool> parse_xsd_boolean(std::string_view text) {
+  if (text == "true" || text == "1") return true;
+  if (text == "false" || text == "0") return false;
+  return Error(ErrorCode::kParseError,
+               "invalid xsd:boolean '" + std::string(text) + "'");
+}
+
+Result<std::int64_t> parse_xsd_int(std::string_view text) {
   std::int64_t out = 0;
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(),
                                    out, 10);
@@ -32,7 +60,7 @@ Result<std::int64_t> parse_int(std::string_view text) {
   return out;
 }
 
-Result<double> parse_double_strict(std::string_view text) {
+Result<double> parse_xsd_double(std::string_view text) {
   std::string owned(text);
   char* end = nullptr;
   double out = std::strtod(owned.c_str(), &end);
@@ -42,8 +70,6 @@ Result<double> parse_double_strict(std::string_view text) {
   }
   return out;
 }
-
-}  // namespace
 
 void write_value(xml::Writer& writer, std::string_view name,
                  const Value& value) {
@@ -104,45 +130,7 @@ Result<Value> read_value(const xml::Element& element) {
     return Value();
   }
 
-  auto declared = element.attribute("xsi:type");
-  std::string_view type = declared.value_or("");
-  // Strip the namespace prefix: "xsd:int" -> "int".
-  if (size_t colon = type.rfind(':'); colon != std::string_view::npos) {
-    type = type.substr(colon + 1);
-  }
-
-  if (type == "boolean") {
-    std::string_view text = element.text_trimmed();
-    if (text == "true" || text == "1") return Value(true);
-    if (text == "false" || text == "0") return Value(false);
-    return Error(ErrorCode::kParseError,
-                 "invalid xsd:boolean '" + std::string(text) + "'");
-  }
-  if (type == "int" || type == "long" || type == "short" || type == "byte" ||
-      type == "integer") {
-    auto parsed = parse_int(element.text_trimmed());
-    if (!parsed.ok()) return parsed.error();
-    return Value(parsed.value());
-  }
-  if (type == "double" || type == "float" || type == "decimal") {
-    auto parsed = parse_double_strict(element.text_trimmed());
-    if (!parsed.ok()) return parsed.error();
-    return Value(parsed.value());
-  }
-  if (type == "string") {
-    return Value(element.text);
-  }
-  if (type == "Array") {
-    Array items;
-    items.reserve(element.children.size());
-    for (const xml::Element& child : element.children) {
-      auto item = read_value(child);
-      if (!item.ok()) return item.error();
-      items.push_back(std::move(item).value());
-    }
-    return Value(std::move(items));
-  }
-  if (type == "Struct") {
+  auto read_children = [&element]() -> Result<Struct> {
     Struct fields;
     fields.reserve(element.children.size());
     for (const xml::Element& child : element.children) {
@@ -151,37 +139,60 @@ Result<Value> read_value(const xml::Element& element) {
       fields.emplace_back(std::string(child.local_name()),
                           std::move(field).value());
     }
-    return Value(std::move(fields));
+    return fields;
+  };
+  auto as_array = [](Struct fields) {
+    Array items;
+    items.reserve(fields.size());
+    for (auto& [name, value] : fields) items.push_back(std::move(value));
+    return Value(std::move(items));
+  };
+
+  switch (declared_type(element.attribute("xsi:type").value_or(""))) {
+    case DeclaredType::kBoolean: {
+      auto parsed = parse_xsd_boolean(element.text_trimmed());
+      if (!parsed.ok()) return parsed.error();
+      return Value(parsed.value());
+    }
+    case DeclaredType::kInt: {
+      auto parsed = parse_xsd_int(element.text_trimmed());
+      if (!parsed.ok()) return parsed.error();
+      return Value(parsed.value());
+    }
+    case DeclaredType::kDouble: {
+      auto parsed = parse_xsd_double(element.text_trimmed());
+      if (!parsed.ok()) return parsed.error();
+      return Value(parsed.value());
+    }
+    case DeclaredType::kString:
+      return Value(element.text);
+    case DeclaredType::kArray: {
+      auto fields = read_children();
+      if (!fields.ok()) return fields.error();
+      return as_array(std::move(fields).value());
+    }
+    case DeclaredType::kStruct: {
+      auto fields = read_children();
+      if (!fields.ok()) return fields.error();
+      return Value(std::move(fields).value());
+    }
+    case DeclaredType::kInferred:
+      break;
   }
 
   // No (or unknown) xsi:type: infer from shape, favouring interop.
-  if (!element.children.empty()) {
-    bool all_items = true;
-    for (const xml::Element& child : element.children) {
-      if (child.local_name() != "item") {
-        all_items = false;
-        break;
-      }
+  if (element.children.empty()) return Value(element.text);
+  bool all_items = true;
+  for (const xml::Element& child : element.children) {
+    if (child.local_name() != "item") {
+      all_items = false;
+      break;
     }
-    if (all_items) {
-      Array items;
-      for (const xml::Element& child : element.children) {
-        auto item = read_value(child);
-        if (!item.ok()) return item.error();
-        items.push_back(std::move(item).value());
-      }
-      return Value(std::move(items));
-    }
-    Struct fields;
-    for (const xml::Element& child : element.children) {
-      auto field = read_value(child);
-      if (!field.ok()) return field.error();
-      fields.emplace_back(std::string(child.local_name()),
-                          std::move(field).value());
-    }
-    return Value(std::move(fields));
   }
-  return Value(element.text);
+  auto fields = read_children();
+  if (!fields.ok()) return fields.error();
+  if (all_items) return as_array(std::move(fields).value());
+  return Value(std::move(fields).value());
 }
 
 Result<Value> value_from_xml(std::string_view xml_fragment) {

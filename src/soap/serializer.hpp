@@ -31,4 +31,26 @@ Result<Value> read_value(const xml::Element& element);
 /// Parses an XML fragment produced by value_to_xml.
 Result<Value> value_from_xml(std::string_view xml_fragment);
 
+/// How read_value interprets an accessor, from its xsi:type attribute
+/// (prefix stripped). kInferred covers a missing or unknown type: an
+/// accessor with child elements is an array (all children named "item")
+/// or a struct, and one without is a string. Every decoder of accessors
+/// (the DOM reader, the streaming reader, the pack view's check) shares
+/// these rules.
+enum class DeclaredType {
+  kInferred,
+  kBoolean,
+  kInt,
+  kDouble,
+  kString,
+  kArray,
+  kStruct,
+};
+DeclaredType declared_type(std::string_view xsi_type);
+
+/// The scalar text rules (`text` already trimmed of ASCII whitespace).
+Result<bool> parse_xsd_boolean(std::string_view text);
+Result<std::int64_t> parse_xsd_int(std::string_view text);
+Result<double> parse_xsd_double(std::string_view text);
+
 }  // namespace spi::soap

@@ -1,8 +1,9 @@
 #include "soap/streaming.hpp"
 
-#include <charconv>
+#include <cstring>
 
 #include "common/string_util.hpp"
+#include "soap/serializer.hpp"
 
 namespace spi::soap {
 
@@ -48,6 +49,103 @@ Status skip_subtree(xml::PullParser& parser, const xml::Token& start) {
     }
   }
   return Status();
+}
+
+Result<bool> check_value(xml::PullParser& parser, const xml::Token& start,
+                         std::string_view* string_text, MonotonicArena& arena) {
+  // The attribute span dies at the next next(): classify first.
+  const bool nil = attribute_of(start, "xsi:nil") == "true";
+  const DeclaredType type =
+      declared_type(attribute_of(start, "xsi:type").value_or(""));
+  const bool scalar = type == DeclaredType::kBoolean ||
+                      type == DeclaredType::kInt ||
+                      type == DeclaredType::kDouble;
+  const bool may_be_string =
+      type == DeclaredType::kString || type == DeclaredType::kInferred;
+  const bool check_children =
+      !nil && (type == DeclaredType::kArray ||
+               type == DeclaredType::kStruct ||
+               type == DeclaredType::kInferred);
+  const bool want_text =
+      !nil && (scalar || (may_be_string && string_text != nullptr));
+
+  // Direct text runs, joined once at the end (as the DOM joins them).
+  std::string_view first_run;
+  std::vector<std::string_view> more_runs;
+  bool has_children = false;
+  while (true) {
+    auto token = parser.next();
+    if (!token.ok()) return token.error();
+    const xml::Token& t = token.value();
+    if (t.type == xml::TokenType::kEndElement) break;
+    switch (t.type) {
+      case xml::TokenType::kText:
+      case xml::TokenType::kCData:
+        if (!want_text || t.text.empty()) break;
+        if (first_run.empty()) {
+          first_run = t.text;
+        } else {
+          more_runs.push_back(t.text);
+        }
+        break;
+      case xml::TokenType::kStartElement: {
+        has_children = true;
+        if (check_children) {
+          auto child = check_value(parser, t, nullptr, arena);
+          if (!child.ok()) return child.error();
+        } else if (Status skipped = skip_subtree(parser, t); !skipped.ok()) {
+          return skipped.error();
+        }
+        break;
+      }
+      case xml::TokenType::kEndOfDocument:
+        return Error(ErrorCode::kParseError, "unexpected end of document");
+      default:
+        break;  // comments / PIs
+    }
+  }
+  if (nil) return false;
+
+  std::string_view text = first_run;
+  if (!more_runs.empty()) {
+    size_t total = first_run.size();
+    for (std::string_view run : more_runs) total += run.size();
+    char* joined = arena.allocate(total);
+    std::memcpy(joined, first_run.data(), first_run.size());
+    size_t at = first_run.size();
+    for (std::string_view run : more_runs) {
+      std::memcpy(joined + at, run.data(), run.size());
+      at += run.size();
+    }
+    text = std::string_view(joined, total);
+  }
+
+  switch (type) {
+    case DeclaredType::kBoolean: {
+      auto parsed = parse_xsd_boolean(trim(text));
+      if (!parsed.ok()) return parsed.error();
+      return false;
+    }
+    case DeclaredType::kInt: {
+      auto parsed = parse_xsd_int(trim(text));
+      if (!parsed.ok()) return parsed.error();
+      return false;
+    }
+    case DeclaredType::kDouble: {
+      auto parsed = parse_xsd_double(trim(text));
+      if (!parsed.ok()) return parsed.error();
+      return false;
+    }
+    case DeclaredType::kArray:
+    case DeclaredType::kStruct:
+      return false;
+    case DeclaredType::kString:
+    case DeclaredType::kInferred:
+      break;
+  }
+  if (has_children && type == DeclaredType::kInferred) return false;
+  if (string_text != nullptr) *string_text = text;
+  return true;
 }
 
 Result<Value> ValueStreamReader::read_value(const xml::Token& start) {
@@ -101,65 +199,44 @@ Result<Value> ValueStreamReader::decode(const xml::Token& start) {
   if (is_nil) {
     return Value();
   }
-  if (size_t colon = type.rfind(':'); colon != std::string_view::npos) {
-    type = type.substr(colon + 1);
-  }
-
-  if (type == "boolean") {
-    std::string_view t = trim(text);
-    if (t == "true" || t == "1") return Value(true);
-    if (t == "false" || t == "0") return Value(false);
-    return Error(ErrorCode::kParseError,
-                 "invalid xsd:boolean '" + std::string(t) + "'");
-  }
-  if (type == "int" || type == "long" || type == "short" || type == "byte" ||
-      type == "integer") {
-    std::string_view t = trim(text);
-    std::int64_t out = 0;
-    auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), out, 10);
-    if (ec != std::errc() || ptr != t.data() + t.size()) {
-      return Error(ErrorCode::kParseError,
-                   "invalid xsd:int '" + std::string(t) + "'");
-    }
-    return Value(out);
-  }
-  if (type == "double" || type == "float" || type == "decimal") {
-    std::string owned(trim(text));
-    char* end = nullptr;
-    double out = std::strtod(owned.c_str(), &end);
-    if (end == owned.c_str() || *end != '\0') {
-      return Error(ErrorCode::kParseError, "invalid xsd:double '" + owned + "'");
-    }
-    return Value(out);
-  }
-  if (type == "string") return Value(std::move(text));
-
-  if (type == "Array") {
+  auto as_array = [&children] {
     Array items;
     items.reserve(children.size());
     for (auto& [name, value] : children) items.push_back(std::move(value));
     return Value(std::move(items));
+  };
+  switch (declared_type(type)) {
+    case DeclaredType::kBoolean: {
+      auto parsed = parse_xsd_boolean(trim(text));
+      if (!parsed.ok()) return parsed.error();
+      return Value(parsed.value());
+    }
+    case DeclaredType::kInt: {
+      auto parsed = parse_xsd_int(trim(text));
+      if (!parsed.ok()) return parsed.error();
+      return Value(parsed.value());
+    }
+    case DeclaredType::kDouble: {
+      auto parsed = parse_xsd_double(trim(text));
+      if (!parsed.ok()) return parsed.error();
+      return Value(parsed.value());
+    }
+    case DeclaredType::kString:
+      return Value(std::move(text));
+    case DeclaredType::kArray:
+      return as_array();
+    case DeclaredType::kStruct:
+      return Value(std::move(children));
+    case DeclaredType::kInferred:
+      break;
   }
-  if (type == "Struct") return Value(std::move(children));
 
   // No (or unknown) xsi:type: infer from shape.
-  if (!children.empty()) {
-    bool all_items = true;
-    for (const auto& [name, value] : children) {
-      if (name != "item") {
-        all_items = false;
-        break;
-      }
-    }
-    if (all_items) {
-      Array items;
-      items.reserve(children.size());
-      for (auto& [name, value] : children) items.push_back(std::move(value));
-      return Value(std::move(items));
-    }
-    return Value(std::move(children));
+  if (children.empty()) return Value(std::move(text));
+  for (const auto& [name, value] : children) {
+    if (name != "item") return Value(std::move(children));
   }
-  return Value(std::move(text));
+  return as_array();
 }
 
 }  // namespace spi::soap

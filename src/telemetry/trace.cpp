@@ -66,13 +66,18 @@ std::optional<TraceContext> TraceContext::from_header_block(
     const xml::Element& block) {
   if (block.local_name() != "Trace") return std::nullopt;
   const xml::Element* trace_id = block.first_child("TraceId");
-  if (!trace_id || !is_hex(trace_id->text_trimmed())) return std::nullopt;
+  if (!trace_id) return std::nullopt;
+  const xml::Element* parent = block.first_child("ParentId");
+  return from_ids(trace_id->text_trimmed(),
+                  parent ? parent->text_trimmed() : std::string_view());
+}
+
+std::optional<TraceContext> TraceContext::from_ids(
+    std::string_view trace_id, std::string_view parent_id) {
+  if (!is_hex(trace_id)) return std::nullopt;
   TraceContext context;
-  context.trace_id = std::string(trace_id->text_trimmed());
-  if (const xml::Element* parent = block.first_child("ParentId");
-      parent && is_hex(parent->text_trimmed())) {
-    context.parent_id = std::string(parent->text_trimmed());
-  }
+  context.trace_id = std::string(trace_id);
+  if (is_hex(parent_id)) context.parent_id = std::string(parent_id);
   return context;
 }
 

@@ -40,6 +40,13 @@ struct TraceContext {
   static std::optional<TraceContext> from_header_block(
       const xml::Element& block);
 
+  /// The context a spi:Trace block with these (trimmed) TraceId and
+  /// ParentId texts carries: nullopt unless `trace_id` is hex; a parent id
+  /// that is not hex (or empty, for a missing ParentId) is dropped. Shared
+  /// by the DOM reader above and the pull-parser header reader.
+  static std::optional<TraceContext> from_ids(std::string_view trace_id,
+                                              std::string_view parent_id);
+
   /// First spi:Trace among an envelope's header blocks, if any.
   static std::optional<TraceContext> from_header_blocks(
       const std::vector<const xml::Element*>& blocks);

@@ -52,6 +52,21 @@ Writer& Writer::attribute(std::string_view name, std::string_view value) {
   return *this;
 }
 
+Writer& Writer::raw_attribute(std::string_view name,
+                              std::string_view escaped_value, char quote) {
+  if (!start_tag_open_) {
+    throw SpiError(ErrorCode::kInvalidArgument,
+                   "raw_attribute() outside an open start tag");
+  }
+  out_ += ' ';
+  out_.append(name);
+  out_ += '=';
+  out_ += quote;
+  out_.append(escaped_value);
+  out_ += quote;
+  return *this;
+}
+
 Writer& Writer::text(std::string_view text) {
   if (open_elements_.empty()) {
     throw SpiError(ErrorCode::kInvalidArgument, "text() outside any element");

@@ -35,6 +35,12 @@ class Writer {
   /// before any content is written into it.
   Writer& attribute(std::string_view name, std::string_view value);
 
+  /// Adds an attribute whose value is already escaped, quoted with
+  /// `quote` (' or "): an attribute copied from a received document keeps
+  /// its bytes and its quoting.
+  Writer& raw_attribute(std::string_view name, std::string_view escaped_value,
+                        char quote = '"');
+
   /// Writes escaped character data inside the current element.
   Writer& text(std::string_view text);
 

@@ -1,11 +1,14 @@
 // The streaming request parser: equivalence with the DOM reference path
-// (property-tested over randomized batches), header skipping, error
-// handling, and the end-to-end server flag.
+// (property-tested over randomized batches, spi:Trace and spi:Deadline
+// headers included), header skipping, error handling, and the end-to-end
+// server flag.
 #include <gtest/gtest.h>
 
 #include "benchsupport/workload.hpp"
 #include "common/random.hpp"
+#include "core/call_context.hpp"
 #include "core/client.hpp"
+#include "core/params.hpp"
 #include "core/server.hpp"
 #include "net/sim_transport.hpp"
 #include "services/echo.hpp"
@@ -16,10 +19,11 @@ namespace {
 
 using soap::Value;
 
+/// The DOM reference path, headers included (what a server without
+/// streaming_parse runs).
 Result<ParsedRequest> dom_parse(std::string_view envelope_xml) {
-  auto envelope = soap::Envelope::parse(std::string(envelope_xml));
-  if (!envelope.ok()) return envelope.error();
-  return parse_request(envelope.value());
+  Dispatcher dispatcher(nullptr, {}, /*streaming=*/false);
+  return dispatcher.parse_request(std::string(envelope_xml));
 }
 
 void expect_equivalent(std::string_view envelope_xml) {
@@ -36,6 +40,25 @@ void expect_equivalent(std::string_view envelope_xml) {
     EXPECT_EQ(via_dom.value().calls[i].call, via_stream.value().calls[i].call)
         << "call " << i;
   }
+  EXPECT_EQ(via_dom.value().trace, via_stream.value().trace);
+  const resilience::Deadline& dom_deadline = via_dom.value().deadline;
+  const resilience::Deadline& stream_deadline = via_stream.value().deadline;
+  ASSERT_EQ(dom_deadline.valid(), stream_deadline.valid());
+  if (dom_deadline.valid()) {
+    // Both re-anchor the carried budget at their own parse instant.
+    const TimePoint now = RealClock::instance().now();
+    const Duration gap =
+        dom_deadline.remaining(now) - stream_deadline.remaining(now);
+    EXPECT_LT(std::chrono::abs(gap), std::chrono::milliseconds(100));
+  }
+}
+
+/// Header blocks of a traced, deadlined message.
+std::vector<std::string> trace_and_deadline(const telemetry::TraceContext& trace,
+                                            Duration budget) {
+  return {trace.to_header_block(),
+          resilience::Deadline::after(budget).to_header_block(
+              RealClock::instance().now())};
 }
 
 TEST(StreamingParseTest, SingleCallMatchesDom) {
@@ -76,6 +99,60 @@ TEST(StreamingParseTest, SkipsHeaderBlocks) {
   auto parsed = parse_request_streaming(envelope);
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().calls[0].call, call);
+}
+
+TEST(StreamingParseTest, TraceAndDeadlineHeadersMatchDom) {
+  ServiceCall call = make_call("S", "Op", {{"x", Value("y")}});
+  telemetry::TraceContext trace = telemetry::TraceContext::generate();
+  expect_equivalent(soap::build_envelope(
+      serialize_single_request(call),
+      trace_and_deadline(trace, std::chrono::seconds(2))));
+
+  auto parsed = parse_request_streaming(soap::build_envelope(
+      serialize_packed_request(std::vector<ServiceCall>{call, call}),
+      trace_and_deadline(trace, std::chrono::seconds(2))));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().trace, trace);
+  EXPECT_TRUE(parsed.value().deadline.valid());
+
+  // The first block that carries a valid value wins, on both paths: a
+  // non-hex trace id and a malformed budget are passed over.
+  std::vector<std::string> headers = {
+      "<spi:Trace><spi:TraceId>not-hex</spi:TraceId></spi:Trace>",
+      "<spi:Deadline><spi:RemainingUs>soon</spi:RemainingUs></spi:Deadline>",
+      "<x:Trace xmlns:x=\"urn:x\"><x:ParentId>ab</x:ParentId>"
+      "<!-- c --><x:TraceId> 0af7 </x:TraceId></x:Trace>",
+      "<spi:Deadline><spi:RemainingUs>-5</spi:RemainingUs></spi:Deadline>",
+      trace.to_header_block()};
+  expect_equivalent(
+      soap::build_envelope(serialize_single_request(call), headers));
+  auto picked = parse_request_streaming(
+      soap::build_envelope(serialize_single_request(call), headers));
+  ASSERT_TRUE(picked.ok()) << picked.error().to_string();
+  EXPECT_EQ(picked.value().trace.trace_id, "0af7");
+  EXPECT_EQ(picked.value().trace.parent_id, "ab");
+  EXPECT_TRUE(picked.value().deadline.expired(RealClock::instance().now()));
+}
+
+TEST(StreamingParseTest, EnvelopeShapeMatchesDom) {
+  ServiceCall call = make_call("S", "Op", {{"x", Value("y")}});
+  const std::string entry = serialize_single_request(call);
+  // Each of these is rejected by Envelope::parse; the streaming walk now
+  // reads the whole document and rejects them too.
+  for (const std::string& envelope :
+       {soap::build_envelope(entry + entry),
+        soap::build_envelope(entry) + "<trailing/>",
+        "<Envelope><Body>" + entry + "</Body><Header/></Envelope>",
+        "<Envelope><Body>" + entry + "</Body><Body/></Envelope>"}) {
+    expect_equivalent(envelope);
+    EXPECT_FALSE(parse_request_streaming(envelope).ok()) << envelope;
+  }
+  soap::EnvelopeLimits one_block;
+  one_block.max_header_blocks = 1;
+  EXPECT_FALSE(parse_request_streaming(
+                   soap::build_envelope(entry, {"<a/>", "<b/>"}), {},
+                   one_block)
+                   .ok());
 }
 
 TEST(StreamingParseTest, PlanFallsBackWithInvalidArgument) {
@@ -140,8 +217,12 @@ TEST(StreamingParseTest, PropertyRandomBatchesMatchDom) {
                                 "Op" + std::to_string(rng.next_below(3)),
                                 std::move(params)));
     }
-    expect_equivalent(
-        soap::build_envelope(serialize_packed_request(calls)));
+    const std::string body = serialize_packed_request(calls);
+    expect_equivalent(soap::build_envelope(body));
+    expect_equivalent(soap::build_envelope(
+        body, trace_and_deadline(telemetry::TraceContext::generate(),
+                                 std::chrono::milliseconds(
+                                     1 + rng.next_below(100000)))));
   }
 }
 
@@ -149,6 +230,12 @@ TEST(StreamingParseTest, EndToEndServerFlag) {
   net::SimTransport transport;
   ServiceRegistry registry;
   services::register_echo_service(registry);
+  // Answers with the trace id its handler runs under.
+  ServiceBinder(registry, "TraceService")
+      .bind("Id", [](const soap::Struct&) -> Result<Value> {
+        const CallContext* context = current_call_context();
+        return Value(context ? context->trace.trace_id : std::string());
+      });
   ServerOptions options;
   options.streaming_parse = true;
   SpiServer server(transport, net::Endpoint{"server", 80}, registry,
@@ -169,6 +256,19 @@ TEST(StreamingParseTest, EndToEndServerFlag) {
   auto outcomes = client.execute_plan(plan);
   ASSERT_TRUE(outcomes.ok()) << outcomes.error().to_string();
   EXPECT_EQ(outcomes.value()[0].value().as_string(), "p");
+
+  // The handler runs under the client's trace, packed and single.
+  telemetry::TraceContext origin = telemetry::TraceContext::generate();
+  telemetry::TraceScope scope(origin);
+  auto traced = client.call_packed(std::vector<ServiceCall>{
+      make_call("TraceService", "Id"), make_call("TraceService", "Id")});
+  for (const CallOutcome& outcome : traced) {
+    ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
+    EXPECT_EQ(outcome.value().as_string(), origin.trace_id);
+  }
+  auto traced_single = client.call("TraceService", "Id");
+  ASSERT_TRUE(traced_single.ok());
+  EXPECT_EQ(traced_single.value().as_string(), origin.trace_id);
   server.stop();
 }
 
