@@ -395,9 +395,7 @@ Result<xml::Document> BxmlCodec::decode_document(
 
 Result<std::string> BxmlCodec::decode(std::string_view wire,
                                       size_t max_decoded_bytes) const {
-  Result<xml::Document> doc = decode_document(wire, max_decoded_bytes, {});
-  if (!doc.ok()) return doc.error();
-  return doc.value().to_string();
+  return decode_text(wire, max_decoded_bytes, {});
 }
 
 }  // namespace spi::codec

@@ -21,6 +21,16 @@ Result<xml::Document> WireCodec::decode_document(
   return xml::parse_document(std::move(plain).value(), limits);
 }
 
+Result<std::string> WireCodec::decode_text(
+    std::string_view wire, size_t max_decoded_bytes,
+    const xml::ParseLimits& limits) const {
+  if (!decodes_to_document()) return decode(wire, max_decoded_bytes);
+  Result<xml::Document> document =
+      decode_document(wire, max_decoded_bytes, limits);
+  if (!document.ok()) return document.error();
+  return document.value().to_string();
+}
+
 Result<std::string> IdentityCodec::encode(std::string_view plain) const {
   return std::string(plain);
 }

@@ -65,6 +65,13 @@ class WireCodec {
   virtual Result<xml::Document> decode_document(
       std::string_view wire, size_t max_decoded_bytes,
       const xml::ParseLimits& limits) const;
+
+  /// Decodes wire bytes into text XML under `limits`: a codec that
+  /// decodes to a document applies them there, so a hop that reads every
+  /// coding as text accepts what the document path would.
+  Result<std::string> decode_text(std::string_view wire,
+                                  size_t max_decoded_bytes,
+                                  const xml::ParseLimits& limits) const;
 };
 
 /// The identity codec: bytes pass through untouched (modulo the decode

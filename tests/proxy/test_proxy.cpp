@@ -13,9 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "codec/bxml.hpp"
 #include "core/assembler.hpp"
 #include "core/call_context.hpp"
 #include "core/client.hpp"
+#include "core/dispatcher.hpp"
 #include "core/params.hpp"
 #include "core/registry.hpp"
 #include "core/remote_plan.hpp"
@@ -445,6 +447,64 @@ TEST_F(ProxyTest, CodecsNegotiateIndependentlyPerHop) {
   EXPECT_NE(
       backend_metrics.find("spi_codec_negotiations_total{codec=\"deflate\"}"),
       std::string::npos);
+}
+
+// A coded request is decoded under the proxy's configured ParseLimits, not
+// the defaults: with max_name_bytes raised on the proxy and the backends, a
+// bxml pack carrying a parameter name past the default limit relays.
+TEST_F(ProxyTest, BxmlRequestDecodesUnderConfiguredParseLimits) {
+  core::ServerOptions backend_options;
+  backend_options.parse_limits.max_name_bytes = 4096;
+  start_backends(2, backend_options);
+  ProxyOptions options = fleet_options();
+  options.parse_limits.max_name_bytes = 4096;
+  start_proxy(std::move(options));
+
+  // bxml's encoder tokenizes under the default limits, so the pack is
+  // encoded with a short placeholder name whose one inline definition
+  // (tag 0, length varint, bytes; later uses refer to it by index) is
+  // then swapped for a 2,000-byte name.
+  const std::string placeholder = "placeholder-name";
+  const std::string long_name(2000, 'n');
+  auto calls = where_calls(6);
+  for (ServiceCall& call : calls) {
+    call.params.emplace_back(placeholder, Value("x"));
+  }
+  core::Assembler assembler(nullptr, {});
+  codec::BxmlCodec bxml;
+  auto encoded =
+      bxml.encode(assembler.assemble_request(calls, core::PackMode::kPacked));
+  ASSERT_TRUE(encoded.ok()) << encoded.error().to_string();
+  std::string body = std::move(encoded).value();
+  const std::string defined =
+      std::string(1, '\0') + static_cast<char>(placeholder.size()) +
+      placeholder;
+  const size_t at = body.find(defined);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(body.find(defined, at + 1), std::string::npos);
+  // 2000 as a LEB128 varint: 0xD0 0x0F.
+  body.replace(at, defined.size(),
+               std::string(1, '\0') + "\xD0\x0F" + long_name);
+  ASSERT_FALSE(bxml.decode_document(body, 1u << 20, {}).ok())
+      << "test premise: the default limits reject the pack";
+
+  http::Headers headers;
+  headers.set("Content-Encoding", "bxml");
+  http::Response response = raw_post(std::move(body), &headers);
+  ASSERT_EQ(response.status, 200) << response.body;
+  core::Dispatcher dispatcher;
+  auto parsed = dispatcher.parse_response(response.body);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  auto outcomes = dispatcher.route(std::move(parsed).value(), calls.size());
+  ASSERT_TRUE(outcomes.ok()) << outcomes.error().to_string();
+  const auto members = member_endpoints();
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const CallOutcome& outcome = outcomes.value()[i];
+    ASSERT_TRUE(outcome.ok()) << i << ": " << outcome.error().to_string();
+    EXPECT_EQ(outcome.value().as_string(),
+              name_of(expected_owner(calls[i], members)))
+        << "call " << i;
+  }
 }
 
 // Deflate on both hops and in both directions: the proxy and each backend
