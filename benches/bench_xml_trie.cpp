@@ -5,7 +5,6 @@
 
 #include "benchsupport/workload.hpp"
 #include "core/wire.hpp"
-#include "soap/streaming.hpp"
 #include "soap/envelope.hpp"
 #include "xml/parser.hpp"
 #include "xml/trie.hpp"
@@ -99,21 +98,6 @@ void BM_PackedEnvelopeParse(benchmark::State& state) {
                           static_cast<int64_t>(envelope.size()));
 }
 BENCHMARK(BM_PackedEnvelopeParse)->Arg(1)->Arg(16)->Arg(128);
-
-void BM_PackedEnvelopeParseStreaming(benchmark::State& state) {
-  // The single-pass streaming parser vs the DOM path above.
-  auto calls = bench::make_echo_calls(static_cast<size_t>(state.range(0)),
-                                      100, /*seed=*/2);
-  std::string envelope =
-      soap::build_envelope(core::wire::serialize_packed_request(calls));
-  for (auto _ : state) {
-    auto request = core::wire::parse_request_streaming(envelope);
-    benchmark::DoNotOptimize(request);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(envelope.size()));
-}
-BENCHMARK(BM_PackedEnvelopeParseStreaming)->Arg(1)->Arg(16)->Arg(128);
 
 void BM_XmlDomParse100K(benchmark::State& state) {
   auto calls = bench::make_echo_calls(1, 100'000, /*seed=*/3);

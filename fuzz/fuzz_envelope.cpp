@@ -1,7 +1,7 @@
 // libFuzzer target for the SOAP layer above the tokenizer: envelope
 // parsing (DOM path with default and tiny EnvelopeLimits), the wire-format
-// request parser, its single-pass streaming twin, and the relay's pack and
-// reply views (core/wire_view.hpp). This is the exact byte path a hostile
+// request and response parsers, and the relay's pack and reply views
+// (core/wire_view.hpp). This is the exact byte path a hostile
 // client reaches through POST /spi, minus sockets.
 // Invariants: no crash, no sanitizer report, every rejection is a clean
 // Result error — and, differentially, the views accept exactly what the DOM
@@ -39,7 +39,7 @@ void check_request_view(std::string_view input,
                         const spi::xml::ParseLimits& parse_limits,
                         const spi::soap::EnvelopeLimits& envelope_limits) {
   constexpr std::string_view kShardParam = "key";
-  spi::core::Dispatcher dom(nullptr, {}, /*streaming=*/false);
+  spi::core::Dispatcher dom;
   dom.set_limits(parse_limits, envelope_limits);
   auto parsed = dom.parse_request(std::string(input));
   auto viewed = spi::core::wire::view_request(input, parse_limits,
@@ -93,8 +93,6 @@ void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
     (void)spi::core::wire::parse_request(envelope.value());
     (void)spi::core::wire::parse_response(envelope.value());
   }
-  (void)spi::core::wire::parse_request_streaming(input, parse_limits,
-                                                 envelope_limits);
   check_request_view(input, parse_limits, envelope_limits);
 }
 

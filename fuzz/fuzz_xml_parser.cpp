@@ -1,6 +1,5 @@
-// libFuzzer target for the XML hot path: PullParser token walk, the
-// arena-backed DOM (parse_document), and the SAX facade — each under the
-// default ParseLimits and again under deliberately tiny limits so the
+// libFuzzer target for the XML hot path: PullParser token walk and the
+// arena-backed DOM (parse_document), each under the default ParseLimits and again under deliberately tiny limits so the
 // enforcement branches themselves get fuzzed. Invariants: no crash, no
 // sanitizer report, and every failure is a clean Result error.
 //
@@ -48,14 +47,6 @@ void drive(std::string_view input, const spi::xml::ParseLimits& limits) {
     walk(document.value().root, touched);
     (void)touched;
   }
-  // SAX facade shares the tokenizer but exercises the callback plumbing.
-  struct NullHandler : spi::xml::SaxHandler {
-    void on_start_element(std::string_view,
-                          std::span<const spi::xml::Attribute>) override {}
-    void on_end_element(std::string_view) override {}
-    void on_text(std::string_view) override {}
-  } handler;
-  (void)spi::xml::parse_sax(input, handler, limits);
 }
 
 }  // namespace

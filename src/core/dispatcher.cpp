@@ -9,24 +9,6 @@ namespace spi::core {
 
 Result<wire::ParsedRequest> Dispatcher::parse_request(
     std::string envelope_xml) {
-  if (streaming_ && !verifier_) {
-    auto streamed = wire::parse_request_streaming(envelope_xml, parse_limits_,
-                                                  envelope_limits_);
-    if (streamed.ok()) {
-      envelopes_.fetch_add(1, std::memory_order_relaxed);
-      if (streamed.value().packed) {
-        packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-        pack_cost_.charge(envelope_xml.size(),
-                          streamed.value().calls.size());
-      }
-      return streamed;
-    }
-    if (streamed.error().code() != ErrorCode::kInvalidArgument) {
-      return streamed.error();
-    }
-    // kInvalidArgument: unsupported shape (Remote_Execution) — DOM path.
-  }
-
   const size_t wire_bytes = envelope_xml.size();
   auto envelope = soap::Envelope::parse(std::move(envelope_xml),
                                         parse_limits_, envelope_limits_);

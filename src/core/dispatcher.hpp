@@ -45,12 +45,9 @@ class Dispatcher {
   /// `verifier` (optional, unowned): when set, every inbound request
   /// envelope must carry a valid wsse:Security header. `pack_cost` models
   /// the testbed's packed-envelope parse overhead (pack_cost.hpp).
-  /// `streaming` selects the single-pass request parser
-  /// (wire::parse_request_streaming) where applicable: no WS-Security and
-  /// not a Remote_Execution body; those fall back to the DOM path.
   explicit Dispatcher(soap::WsseVerifier* verifier = nullptr,
-                      PackCostModel pack_cost = {}, bool streaming = false)
-      : verifier_(verifier), pack_cost_(pack_cost), streaming_(streaming) {}
+                      PackCostModel pack_cost = {})
+      : verifier_(verifier), pack_cost_(pack_cost) {}
 
   /// Installs the resource-governance bounds (DESIGN.md §11). Parse limits
   /// bound the tokenizer on every parse path; envelope limits bound message
@@ -158,7 +155,6 @@ class Dispatcher {
 
   soap::WsseVerifier* verifier_;
   PackCostModel pack_cost_;
-  bool streaming_;
   xml::ParseLimits parse_limits_;
   soap::EnvelopeLimits envelope_limits_;
   std::atomic<std::uint64_t> envelopes_{0};

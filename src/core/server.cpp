@@ -24,8 +24,7 @@ SpiServer::SpiServer(net::Transport& transport, net::Endpoint at,
       verifier_(options_.wsse ? std::make_unique<soap::WsseVerifier>(
                                     *options_.wsse)
                               : nullptr),
-      dispatcher_(verifier_.get(), options_.pack_cost,
-                  options_.streaming_parse),
+      dispatcher_(verifier_.get(), options_.pack_cost),
       assembler_(nullptr, options_.pack_cost) {
   dispatcher_.set_limits(options_.parse_limits, options_.envelope_limits);
   codecs_ =
@@ -566,8 +565,7 @@ http::Response SpiServer::handle(http::Request&& request) {
   // Pre-parse deadline shed (SEDA stage boundary 1): a bounded substring
   // scan over the raw document — if the client's budget is already spent,
   // answering DeadlineExceeded now beats paying the parse stage for an
-  // answer nobody is waiting for. Also the only deadline check the
-  // streaming-parse path's headers ever get.
+  // answer nobody is waiting for.
   if (!encoded_request || !request_codec->decodes_to_document()) {
     const TimePoint now = RealClock::instance().now();
     if (auto scanned = resilience::Deadline::scan(text_body, now);

@@ -71,10 +71,6 @@ struct ServerOptions {
   /// Calibrated packed-message handling overhead (see core/pack_cost.hpp).
   PackCostModel pack_cost;
 
-  /// Use the single-pass streaming request parser where applicable
-  /// (no WSSE, not a plan). Functionally identical; skips the DOM.
-  bool streaming_parse = false;
-
   /// Admission control (SEDA well-conditioning): messages being executed
   /// concurrently beyond this bound are rejected with HTTP 503 + a Server
   /// fault instead of queuing unboundedly. 0 = unlimited.
@@ -89,8 +85,8 @@ struct ServerOptions {
   /// Shared metrics registry to record into (unowned; must outlive the
   /// server). Null: the server creates and owns its own. Either way the
   /// registry is what GET /metrics exposes and metrics() returns, so
-  /// other components (a client-side ConnectionPool, an AutoBatcher) can
-  /// bind into the same scrape.
+  /// other components (an AsyncHttpClient, an AutoBatcher) can bind into
+  /// the same scrape.
   telemetry::MetricsRegistry* metrics = nullptr;
 
   http::ParserLimits http_limits;

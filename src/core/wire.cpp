@@ -1,9 +1,7 @@
 #include "core/wire.hpp"
 
 #include "common/string_util.hpp"
-#include "core/wire_view.hpp"
 #include "soap/serializer.hpp"
-#include "soap/streaming.hpp"
 #include "xml/writer.hpp"
 
 namespace spi::core::wire {
@@ -198,136 +196,6 @@ Result<ParsedRequest> parse_request(const soap::Envelope& envelope) {
 
 std::string serialize_plan_request(const RemotePlan& plan) {
   return serialize_plan(plan);
-}
-
-namespace {
-
-std::string_view token_local(const xml::Token& token) {
-  std::string_view name = token.name;
-  size_t colon = name.rfind(':');
-  return colon == std::string_view::npos ? name : name.substr(colon + 1);
-}
-
-std::optional<std::string_view> token_attribute(const xml::Token& token,
-                                                std::string_view name) {
-  for (const xml::Attribute& attribute : token.attributes) {
-    if (attribute.name == name) return std::string_view(attribute.value);
-  }
-  return std::nullopt;
-}
-
-/// Reads the parameter accessors of a call element whose start token has
-/// been consumed, through its end element.
-Result<soap::Struct> stream_params(xml::PullParser& parser,
-                                   const xml::Token& call_start) {
-  soap::Struct params;
-  if (call_start.self_closing) {
-    auto end = parser.next();  // synthesized end
-    if (!end.ok()) return end.error();
-    return params;
-  }
-  soap::ValueStreamReader reader(parser);
-  while (true) {
-    auto token = parser.next();
-    if (!token.ok()) return token.error();
-    if (token.value().type == xml::TokenType::kEndElement) break;
-    if (token.value().type == xml::TokenType::kStartElement) {
-      std::string name(token_local(token.value()));
-      auto value = reader.read_value(token.value());
-      if (!value.ok()) {
-        return value.wrap_error("parameter '" + name + "'");
-      }
-      params.emplace_back(std::move(name), std::move(value).value());
-    } else if (token.value().type == xml::TokenType::kEndOfDocument) {
-      return Error(ErrorCode::kParseError, "unexpected end of document");
-    }
-    // Whitespace text, comments: ignored between accessors.
-  }
-  return params;
-}
-
-}  // namespace
-
-Result<ParsedRequest> parse_request_streaming(
-    std::string_view envelope_xml, const xml::ParseLimits& limits,
-    const soap::EnvelopeLimits& envelope_limits) {
-  EnvelopeReader reader(envelope_xml, nullptr, limits, envelope_limits);
-  auto opened = reader.open_entry("request");
-  if (!opened.ok()) return opened.error();
-  const xml::Token entry = opened.value();
-  xml::PullParser& parser = reader.parser();
-
-  ParsedRequest parsed;
-  parsed.trace = reader.trace();
-  parsed.deadline = reader.deadline();
-  if (token_local(entry) == "Remote_Execution") {
-    // Plans are rare and small; reuse the DOM reference path.
-    return Error(ErrorCode::kInvalidArgument,
-                 "streaming parser does not handle Remote_Execution");
-  }
-
-  if (token_local(entry) == "Parallel_Method") {
-    parsed.kind = ParsedRequest::Kind::kPacked;
-    parsed.packed = true;
-    // A self-closing Parallel_Method yields its synthesized end at once.
-    while (true) {
-      auto token = parser.next();
-      if (!token.ok()) return token.error();
-      if (token.value().type == xml::TokenType::kEndElement) break;
-      if (token.value().type != xml::TokenType::kStartElement) continue;
-      if (token_local(token.value()) != "Call") {
-        return Error(ErrorCode::kProtocolError,
-                     "unexpected <" + std::string(token.value().name) +
-                         "> in Parallel_Method");
-      }
-      IndexedCall indexed;
-      auto id = token_attribute(token.value(), "id");
-      auto parsed_id = id ? parse_u64(*id) : std::nullopt;
-      if (!parsed_id || *parsed_id > 0xffffffffULL) {
-        return Error(ErrorCode::kProtocolError,
-                     "spi:Call missing/invalid id attribute");
-      }
-      indexed.id = static_cast<std::uint32_t>(*parsed_id);
-      auto service = token_attribute(token.value(), "service");
-      auto operation = token_attribute(token.value(), "operation");
-      if (!service || service->empty() || !operation ||
-          operation->empty()) {
-        return Error(ErrorCode::kProtocolError,
-                     "spi:Call missing service/operation attribute");
-      }
-      indexed.call.service = std::string(*service);
-      indexed.call.operation = std::string(*operation);
-      auto params = stream_params(parser, token.value());
-      if (!params.ok()) return params.error();
-      indexed.call.params = std::move(params).value();
-      parsed.calls.push_back(std::move(indexed));
-    }
-    if (parsed.calls.empty()) {
-      return Error(ErrorCode::kProtocolError, "Parallel_Method has no calls");
-    }
-  } else {
-    // Traditional single call.
-    IndexedCall indexed;
-    indexed.id = 0;
-    indexed.call.operation = std::string(token_local(entry));
-    if (auto service = token_attribute(entry, "spi:service")) {
-      indexed.call.service = std::string(*service);
-    }
-    if (indexed.call.service.empty()) {
-      return Error(ErrorCode::kProtocolError,
-                   "request is missing the spi:service attribute");
-    }
-    auto params = stream_params(parser, entry);
-    if (!params.ok()) return params.error();
-    indexed.call.params = std::move(params).value();
-    parsed.kind = ParsedRequest::Kind::kSingle;
-    parsed.packed = false;
-    parsed.calls.push_back(std::move(indexed));
-  }
-  if (Status closed = reader.close("request"); !closed.ok()) {
-    return closed.error();
-  }
-  return parsed;
 }
 
 void write_single_response(xml::Writer& writer, const ServiceCall& call,

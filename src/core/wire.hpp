@@ -65,8 +65,7 @@ struct ParsedRequest {
   RemotePlan plan;                 // kPlan only
 
   /// Trace context from the request's spi:Trace header block, if any
-  /// (telemetry/trace.hpp). Extracted by Dispatcher::parse_request on the
-  /// DOM path and by the streaming parser's header reader.
+  /// (telemetry/trace.hpp). Extracted by Dispatcher::parse_request.
   telemetry::TraceContext trace;
 
   /// Deadline from the request's spi:Deadline header block, re-anchored to
@@ -82,20 +81,6 @@ struct ParsedRequest {
 /// Parses a request body (auto-detects packed / plan / traditional — the
 /// "no change to services code" property: old-style clients keep working).
 Result<ParsedRequest> parse_request(const soap::Envelope& envelope);
-
-/// Single-pass streaming variant over the raw envelope document: no DOM is
-/// built (§2.2-style parsing optimization; soap/streaming.hpp). Of the
-/// header blocks it reads spi:Trace and spi:Deadline (the EnvelopeReader
-/// of core/wire_view.hpp) and skips the rest, so it cannot serve
-/// WS-Security deployments — Dispatcher falls back to the DOM path there.
-/// Remote_Execution bodies also fall back (kInvalidArgument; plans are
-/// small, the win is on packed batches). Property-tested equivalent to the
-/// DOM path (Dispatcher::parse_request) on its supported shapes, headers
-/// included. The limits bound the tokenizer and the envelope shape exactly
-/// like the DOM path's.
-Result<ParsedRequest> parse_request_streaming(
-    std::string_view envelope_xml, const xml::ParseLimits& limits = {},
-    const soap::EnvelopeLimits& envelope_limits = {});
 
 /// Serializes a Remote_Execution body entry (see remote_plan.hpp).
 std::string serialize_plan_request(const RemotePlan& plan);

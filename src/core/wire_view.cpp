@@ -578,16 +578,17 @@ size_t estimate_spliced_request_bytes(std::span<const CallView> calls) {
 
 namespace {
 
-/// Decodes a fault element from its bytes. Faults are the only part of a
-/// reply a relay decodes; they are small and rare, so the DOM reader (and
-/// with it Fault::from_element's exact rules) does the work.
+/// Decodes a fault element from its bytes, which the outcome keeps. Faults
+/// are the only part of a reply a relay decodes; they are small and rare,
+/// so the DOM reader (and with it Fault::from_element's exact rules) does
+/// the work.
 Result<RelayedOutcome> decode_fault(std::string_view bytes,
                                     const xml::ParseLimits& limits) {
   auto document = xml::parse_document(std::string(bytes), limits);
   if (!document.ok()) return document.wrap_error("nested Fault");
   auto fault = soap::Fault::from_element(document.value().root);
   if (!fault) return Error(ErrorCode::kProtocolError, "malformed nested Fault");
-  return RelayedOutcome(fault->to_error());
+  return RelayedOutcome(fault->to_error(), bytes);
 }
 
 /// Reads one response entry (its start token just consumed) through its
@@ -689,6 +690,18 @@ Result<ReplyView> view_response(std::string_view text,
   return reply;
 }
 
+namespace {
+
+void write_fault(xml::Writer& writer, const RelayedOutcome& outcome) {
+  if (!outcome.fault_xml().empty()) {
+    writer.raw(outcome.fault_xml());
+  } else {
+    soap::Fault::from_error(outcome.error()).write_xml(writer);
+  }
+}
+
+}  // namespace
+
 void write_spliced_response(xml::Writer& writer,
                             std::span<const RelayedOutcome> outcomes,
                             std::span<const CallView> calls, bool packed) {
@@ -696,7 +709,7 @@ void write_spliced_response(xml::Writer& writer,
     const RelayedOutcome& outcome = outcomes.front();
     if (!outcome.ok()) {
       // Traditional SOAP: a failed call's body is a bare Fault entry.
-      soap::Fault::from_error(outcome.error()).write_xml(writer);
+      write_fault(writer, outcome);
       return;
     }
     writer.start_element("spi:" + std::string(calls.front().operation) +
@@ -715,7 +728,7 @@ void write_spliced_response(xml::Writer& writer,
     if (outcomes[i].ok()) {
       writer.raw(outcomes[i].value());
     } else {
-      soap::Fault::from_error(outcomes[i].error()).write_xml(writer);
+      write_fault(writer, outcomes[i]);
     }
     writer.end_element();
   }

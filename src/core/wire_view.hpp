@@ -33,12 +33,12 @@ struct RawAttribute {
   char quote = '"';
 };
 
-/// Pull-parser walk over an envelope's frame, shared by the streaming
-/// request parser and the views. It checks what soap::Envelope::parse
-/// checks (root Envelope, header-block and body-entry limits, one Body, no
-/// Header after it, well-formed to the end of the document) and reads the
-/// spi:Trace and spi:Deadline header blocks as it passes them, by the same
-/// rules as TraceContext/Deadline::from_header_blocks.
+/// Pull-parser walk over an envelope's frame, under the pack and reply
+/// views. It checks what soap::Envelope::parse checks (root Envelope,
+/// header-block and body-entry limits, one Body, no Header after it,
+/// well-formed to the end of the document) and reads the spi:Trace and
+/// spi:Deadline header blocks as it passes them, by the same rules as
+/// TraceContext/Deadline::from_header_blocks.
 class EnvelopeReader {
  public:
   /// `scratch` receives entity expansions (null: the parser's own arena);
@@ -148,8 +148,22 @@ size_t estimate_spliced_request_bytes(std::span<const CallView> calls);
 // --- response side ----------------------------------------------------------
 
 /// One call's answer in a reply: the bytes of its <return> element, or the
-/// decoded fault (soap::Fault::to_error of it).
-using RelayedOutcome = Result<std::string_view>;
+/// decoded fault (soap::Fault::to_error of it). A fault read from a reply
+/// also keeps the bytes of its Fault element, so a relay passes it on as
+/// the backend wrote it; a fault the relay makes itself (no backend, open
+/// breaker, transport failure) has none and is written from its Error.
+class RelayedOutcome : public Result<std::string_view> {
+ public:
+  using Result::Result;
+  RelayedOutcome(Error fault, std::string_view fault_xml)
+      : Result(std::move(fault)), fault_xml_(fault_xml) {}
+
+  /// The Fault element as received; empty for a fault made locally.
+  std::string_view fault_xml() const { return fault_xml_; }
+
+ private:
+  std::string_view fault_xml_;
+};
 
 struct IndexedRelay {
   std::uint32_t id = 0;
@@ -169,9 +183,9 @@ Result<ReplyView> view_response(std::string_view text,
                                 const soap::EnvelopeLimits& limits = {});
 
 /// Writes the merge: outcomes[i] answers calls[i] under calls[i].id — a
-/// relayed <return> element verbatim, a fault as soap::Fault::from_error
-/// writes it — in one Parallel_Response (packed), or the one call's
-/// outcome in traditional framing. For replies this stack wrote, the
+/// relayed <return> or Fault element verbatim, a locally made fault as
+/// soap::Fault::from_error writes it — in one Parallel_Response (packed),
+/// or the one call's outcome in traditional framing. For replies this stack wrote, the
 /// output equals write_packed_response / write_single_response of the
 /// decoded outcomes byte for byte.
 void write_spliced_response(xml::Writer& writer,

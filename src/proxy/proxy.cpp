@@ -54,7 +54,7 @@ PackingProxy::PackingProxy(net::Transport& transport, net::Endpoint at,
       codecs_(options_.codecs ? options_.codecs
                               : &codec::CodecRegistry::builtin()),
       breakers_(options_.breaker),
-      dispatcher_(nullptr, {}, false),
+      dispatcher_(nullptr, {}),
       assembler_(nullptr, {}),
       retry_after_value_(format_retry_after(options_.retry_after_hint)),
       ring_(options_.virtual_nodes) {

@@ -93,9 +93,10 @@ class CircuitBreaker {
   std::uint64_t opens_ = 0;
 };
 
-/// Breakers keyed by endpoint, created on first use. Shared by everything
-/// that talks to the same fleet (SpiClient exchanges, ConnectionPool
-/// checkout) so one component's observations protect the others.
+/// Breakers keyed by endpoint, created on first use. Shared by every
+/// SpiClient that talks to the same fleet (ClientOptions::breakers; the
+/// proxy's backend clients) so one client's observations protect the
+/// others.
 class CircuitBreakerSet {
  public:
   explicit CircuitBreakerSet(CircuitBreakerOptions options = {},

@@ -9,12 +9,6 @@ namespace spi::soap {
 
 namespace {
 
-std::string_view local_of(std::string_view qualified) {
-  size_t colon = qualified.rfind(':');
-  return colon == std::string_view::npos ? qualified
-                                         : qualified.substr(colon + 1);
-}
-
 std::optional<std::string_view> attribute_of(const xml::Token& token,
                                              std::string_view name) {
   for (const xml::Attribute& attribute : token.attributes) {
@@ -146,97 +140,6 @@ Result<bool> check_value(xml::PullParser& parser, const xml::Token& start,
   if (has_children && type == DeclaredType::kInferred) return false;
   if (string_text != nullptr) *string_text = text;
   return true;
-}
-
-Result<Value> ValueStreamReader::read_value(const xml::Token& start) {
-  return decode(start);
-}
-
-Result<Value> ValueStreamReader::decode(const xml::Token& start) {
-  std::string text;
-  Struct children;  // local name -> decoded value, in document order
-
-  // Read the start tag's attributes before consuming children: the
-  // attribute span aliases parser storage that the next next() reuses.
-  bool is_nil = false;
-  if (auto nil = attribute_of(start, "xsi:nil"); nil && *nil == "true") {
-    is_nil = true;
-  }
-  // The value views point into the input buffer or scratch arena (both
-  // parser-lifetime), so keeping the view is safe; only the span is not.
-  std::string_view type = attribute_of(start, "xsi:type").value_or("");
-
-  // Gather this element's direct text and decode children recursively.
-  while (true) {
-    auto token = parser_.next();
-    if (!token.ok()) return token.error();
-    bool done = false;
-    switch (token.value().type) {
-      case xml::TokenType::kText:
-      case xml::TokenType::kCData:
-        text += token.value().text;
-        break;
-      case xml::TokenType::kStartElement: {
-        std::string child_name(local_of(token.value().name));
-        auto child = decode(token.value());
-        if (!child.ok()) return child.error();
-        children.emplace_back(std::move(child_name),
-                              std::move(child).value());
-        break;
-      }
-      case xml::TokenType::kEndElement:
-        done = true;  // our own end: children consumed their own
-        break;
-      case xml::TokenType::kEndOfDocument:
-        return Error(ErrorCode::kParseError, "unexpected end of document");
-      default:
-        break;  // comments / PIs
-    }
-    if (done) break;
-  }
-
-  // Interpretation mirrors soap::read_value exactly.
-  if (is_nil) {
-    return Value();
-  }
-  auto as_array = [&children] {
-    Array items;
-    items.reserve(children.size());
-    for (auto& [name, value] : children) items.push_back(std::move(value));
-    return Value(std::move(items));
-  };
-  switch (declared_type(type)) {
-    case DeclaredType::kBoolean: {
-      auto parsed = parse_xsd_boolean(trim(text));
-      if (!parsed.ok()) return parsed.error();
-      return Value(parsed.value());
-    }
-    case DeclaredType::kInt: {
-      auto parsed = parse_xsd_int(trim(text));
-      if (!parsed.ok()) return parsed.error();
-      return Value(parsed.value());
-    }
-    case DeclaredType::kDouble: {
-      auto parsed = parse_xsd_double(trim(text));
-      if (!parsed.ok()) return parsed.error();
-      return Value(parsed.value());
-    }
-    case DeclaredType::kString:
-      return Value(std::move(text));
-    case DeclaredType::kArray:
-      return as_array();
-    case DeclaredType::kStruct:
-      return Value(std::move(children));
-    case DeclaredType::kInferred:
-      break;
-  }
-
-  // No (or unknown) xsi:type: infer from shape.
-  if (children.empty()) return Value(std::move(text));
-  for (const auto& [name, value] : children) {
-    if (name != "item") return Value(std::move(children));
-  }
-  return as_array();
 }
 
 }  // namespace spi::soap

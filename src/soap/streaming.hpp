@@ -1,33 +1,14 @@
-// Streaming SOAP deserialization: values are decoded straight from the
-// pull-parser token stream, never materializing a DOM. This is the
-// direction of the §2.2 parsing optimizations (gSOAP's generated parsers,
-// bSOAP) — one pass, no intermediate tree, allocation proportional to the
-// decoded values only. wire::parse_request_streaming builds on it; the
-// DOM path remains the reference implementation (property-tested
-// equivalent).
+// Token-stream helpers for readers that walk an envelope with the pull
+// parser instead of building a DOM: skipping a subtree, and checking an
+// accessor by soap::read_value's rules without building its Value. The
+// proxy's pack view (core/wire_view.hpp) is their user; requests the server
+// executes are decoded through the DOM (soap::Envelope + read_value).
 #pragma once
 
 #include "soap/value.hpp"
 #include "xml/parser.hpp"
 
 namespace spi::soap {
-
-/// Reads one accessor element's value from a pull-parser stream.
-class ValueStreamReader {
- public:
-  explicit ValueStreamReader(xml::PullParser& parser) : parser_(parser) {}
-
-  /// `start` is the accessor's already-consumed kStartElement token; on
-  /// success the stream is positioned just past the matching end element.
-  Result<Value> read_value(const xml::Token& start);
-
- private:
-  /// Decodes using the same rules as soap::read_value (xsi:type, then
-  /// shape inference), consuming tokens through the matching end element.
-  Result<Value> decode(const xml::Token& start);
-
-  xml::PullParser& parser_;
-};
 
 /// Advances the parser past the current element's entire subtree
 /// (`start` already consumed). Used to skip envelope headers cheaply.

@@ -506,32 +506,4 @@ Result<Document> parse_document(std::string input,
   }
 }
 
-Status parse_sax(std::string_view input, SaxHandler& handler,
-                 const ParseLimits& limits) {
-  PullParser parser(input, nullptr, limits);
-  while (true) {
-    auto token = parser.next();
-    if (!token.ok()) return token.error();
-    switch (token.value().type) {
-      case TokenType::kStartElement:
-        handler.on_start_element(token.value().name,
-                                 token.value().attributes);
-        break;
-      case TokenType::kEndElement:
-        handler.on_end_element(token.value().name);
-        break;
-      case TokenType::kText:
-      case TokenType::kCData:
-        handler.on_text(token.value().text);
-        break;
-      case TokenType::kComment:
-      case TokenType::kProcessingInstruction:
-      case TokenType::kDeclaration:
-        break;
-      case TokenType::kEndOfDocument:
-        return Status();
-    }
-  }
-}
-
 }  // namespace spi::xml

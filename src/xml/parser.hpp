@@ -1,8 +1,7 @@
-// XML parsing, three APIs over one tokenizer:
-//   * PullParser — incremental token stream (used by the deserializer core)
+// XML parsing, two APIs over one tokenizer:
+//   * PullParser — incremental token stream (used by the envelope and pack
+//     views of core/wire_view.hpp and by the bxml encoder)
 //   * parse_document — DOM builder (used by SOAP envelope handling)
-//   * parse_sax — callback driver (used by streaming consumers and the
-//     trie ablation bench)
 // Covers the subset SOAP 1.1 needs: elements, attributes, character data,
 // CDATA, comments, PIs, the XML declaration, and the five predefined plus
 // numeric entities. No DTDs (SOAP forbids them).
@@ -225,23 +224,5 @@ struct Document {
 /// `limits` bounds what a hostile document may cost (see ParseLimits).
 Result<Document> parse_document(std::string input,
                                 const ParseLimits& limits = {});
-
-/// SAX-style callbacks. Default implementations ignore events. Views are
-/// only guaranteed for the duration of the callback.
-class SaxHandler {
- public:
-  virtual ~SaxHandler() = default;
-  virtual void on_start_element(std::string_view name,
-                                std::span<const Attribute> attributes) {
-    (void)name;
-    (void)attributes;
-  }
-  virtual void on_end_element(std::string_view name) { (void)name; }
-  virtual void on_text(std::string_view text) { (void)text; }
-};
-
-/// Drives a SaxHandler over the input. CDATA is reported via on_text.
-Status parse_sax(std::string_view input, SaxHandler& handler,
-                 const ParseLimits& limits = {});
 
 }  // namespace spi::xml

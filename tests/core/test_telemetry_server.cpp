@@ -1,7 +1,8 @@
 // End-to-end telemetry on SpiServer over SimTransport: the /metrics
 // Prometheus scrape, /healthz admission flip, and trace-id propagation
 // from client injection through packed fan-out into handler CallContexts
-// and back out in the response envelope (DESIGN.md §9).
+// and back out in the response envelope (DESIGN.md §9). The async HTTP
+// client's views are scraped over TCP loopback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +15,9 @@
 #include "core/call_context.hpp"
 #include "core/client.hpp"
 #include "core/server.hpp"
-#include "http/connection_pool.hpp"
+#include "http/async_client.hpp"
 #include "net/sim_transport.hpp"
+#include "net/tcp_transport.hpp"
 #include "services/echo.hpp"
 #include "telemetry/trace.hpp"
 
@@ -45,19 +47,6 @@ class TelemetryServerTest : public ::testing::Test {
 TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   SpiServer server(transport_, net::Endpoint{"server", 80}, registry_);
   ASSERT_TRUE(server.start().ok());
-
-  // A client-side connection pool bound into the same registry: one
-  // fresh connect, one reuse.
-  http::ConnectionPool pool(transport_, 4);
-  pool.bind_metrics(server.metrics(), "client");
-  {
-    auto lease = pool.acquire(server.endpoint());
-    ASSERT_TRUE(lease.ok());
-  }
-  {
-    auto lease = pool.acquire(server.endpoint());
-    ASSERT_TRUE(lease.ok());
-  }
 
   // Exactly one packed message carrying 4 calls.
   SpiClient client(transport_, server.endpoint());
@@ -108,12 +97,6 @@ TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   EXPECT_NE(text.find("spi_assembler_envelopes_total{side=\"server\"} 1\n"),
             std::string::npos);
 
-  // Client connection pool bound into the server's registry.
-  EXPECT_NE(text.find("spi_httppool_created_total{pool=\"client\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("spi_httppool_reused_total{pool=\"client\"} 1\n"),
-            std::string::npos);
-
   // Wire bytes flowed, admission never rejected, nothing in flight now.
   EXPECT_NE(text.find("spi_net_bytes_sent_total "), std::string::npos);
   EXPECT_EQ(text.find("spi_net_bytes_sent_total 0\n"), std::string::npos);
@@ -121,6 +104,47 @@ TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   EXPECT_NE(text.find("spi_server_admission_rejections_total 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("spi_server_in_flight 0\n"), std::string::npos);
+}
+
+// The async HTTP client's views bound into a server's registry, over TCP
+// loopback (the async client needs pollable connections): after N
+// completed exchanges the scrape counts N requests and none in flight.
+TEST(AsyncClientMetricsTest, ScrapeCountsExchangesAndNoneInFlight) {
+  net::TcpTransport transport;
+  ServiceRegistry registry;
+  SpiServer server(transport, net::Endpoint{"127.0.0.1", 0}, registry);
+  ASSERT_TRUE(server.start().ok());
+  Reactor reactor;
+  reactor.start();
+  http::AsyncHttpClient client(reactor, transport);
+  client.bind_metrics(server.metrics());
+
+  constexpr int kExchanges = 5;
+  for (int i = 0; i < kExchanges; ++i) {
+    http::Request request;
+    request.method = "GET";
+    request.target = "/healthz";
+    auto response = client
+                        .send_future(server.endpoint(), std::move(request),
+                                     std::chrono::seconds(5))
+                        .get();
+    ASSERT_TRUE(response.ok()) << response.error().to_string();
+    EXPECT_EQ(response.value().status, 200);
+  }
+
+  // Scraped by another client, so the scrape is not an exchange of its own.
+  http::HttpClient scraper(transport, server.endpoint());
+  http::Request request;
+  request.method = "GET";
+  request.target = "/metrics";
+  auto scrape = scraper.send(std::move(request));
+  ASSERT_TRUE(scrape.ok()) << scrape.error().to_string();
+  const std::string& text = scrape.value().body;
+  EXPECT_NE(text.find("spi_async_client_requests_total 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("spi_async_client_inflight 0\n"), std::string::npos);
+  server.stop();
 }
 
 TEST_F(TelemetryServerTest, HealthzFlipsTo503WhileSaturated) {

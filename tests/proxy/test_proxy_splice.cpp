@@ -2,12 +2,14 @@
 // are spliced from the bytes of the origin envelope and the backend
 // replies, never decoded into values. These tests hold the splice to the
 // decode/re-encode path it replaced:
-//   * golden bytes — each spliced sub-pack and merge equals what the
-//     Assembler writes for the decoded calls and outcomes;
+//   * golden bytes — each spliced sub-pack equals what the Assembler writes
+//     for the decoded calls, and each merge what it writes for the decoded
+//     values and the backends' own faults;
 //   * placement — every call lands on ring.route(route_key(call)), entity
 //     references and non-string shard params included;
-//   * faulted children decode at the origin as the decode/re-encode path
-//     left them, and reroute moves exactly the movable ones;
+//   * faulted children reach the origin as their backend wrote them, so
+//     the origin classifies them as a direct client would, and reroute
+//     moves exactly the movable ones;
 //   * an envelope from another stack (other prefixes, extra namespace
 //     declarations, attribute order, comments) relays and answers;
 //   * ring_hash reads exactly its view, at every alignment.
@@ -179,12 +181,14 @@ TEST(ProxySpliceGoldenTest, SubPacksAndMergesEqualTheAssemblersOutput) {
           dispatcher.route(std::move(scanned).value(), slots.size());
       ASSERT_TRUE(relayed_group.ok()) << relayed_group.error().to_string();
       for (size_t i = 0; i < slots.size(); ++i) {
-        decoded[slots[i]] = routed.value()[i];
+        // A fault is relayed as its backend wrote it, not re-wrapped.
+        decoded[slots[i]] = answers[i].ok() ? routed.value()[i] : answers[i];
         relayed[slots[i]] = relayed_group.value()[i];
       }
     }
 
-    // The merge, spliced vs assembled from the decoded outcomes.
+    // The merge, spliced vs assembled from the decoded values and the
+    // backends' own faults.
     std::vector<IndexedOutcome> indexed;
     for (size_t i = 0; i < m; ++i) {
       indexed.push_back({view.value().calls[i].id, decoded[i]});
@@ -244,11 +248,12 @@ TEST(ProxySpliceRingHashTest, ViewIntoALargerBufferHashesAsAnOwnedCopy) {
 // --- through a proxy ---------------------------------------------------------
 
 /// A backend that records each request body and answers it as SpiServer
-/// does (Dispatcher + registry + Assembler), or sheds every call, or
-/// stalls past the proxy's receive timeout.
+/// does (Dispatcher + registry + Assembler), or sheds every call (of every
+/// request, or of its first request only), or stalls past the proxy's
+/// receive timeout.
 class Backend {
  public:
-  enum class Mode { kServe, kShedAll, kStall };
+  enum class Mode { kServe, kShedAll, kShedFirst, kStall };
 
   Backend(net::Transport& transport, std::string name, Mode mode = Mode::kServe)
       : name_(std::move(name)), mode_(mode) {
@@ -263,6 +268,12 @@ class Backend {
     });
     binder.bind("Fail", [](const soap::Struct&) -> Result<Value> {
       return Error(ErrorCode::kNotFound, "no such <row> & no such key");
+    });
+    binder.bind("Raise", [](const soap::Struct& params) -> Result<Value> {
+      auto code = core::require_int(params, "code");
+      if (!code.ok()) return code.error();
+      return Error(static_cast<ErrorCode>(code.value()),
+                   "raised <" + std::to_string(code.value()) + "> & kept");
     });
     server_ = std::make_unique<http::HttpServer>(
         transport, net::Endpoint{name_, 80},
@@ -282,9 +293,11 @@ class Backend {
 
  private:
   http::Response handle(http::Request&& request) {
+    bool shed = mode_ == Mode::kShedAll;
     {
       std::lock_guard lock(mutex_);
       bodies_.push_back(request.body);
+      shed = shed || (mode_ == Mode::kShedFirst && bodies_.size() == 1);
     }
     if (mode_ == Mode::kStall) {
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -299,7 +312,7 @@ class Backend {
     }
     const core::wire::ParsedRequest& message = parsed.value();
     std::vector<IndexedOutcome> outcomes;
-    if (mode_ == Mode::kShedAll) {
+    if (shed) {
       for (const core::IndexedCall& call : message.calls) {
         outcomes.push_back(
             {call.id, CallOutcome(Error(ErrorCode::kCapacityExceeded,
@@ -402,9 +415,9 @@ TEST_F(ProxySpliceTest, EveryCallLandsOnItsRingOwner) {
   EXPECT_EQ(proxy_->route_key(calls[24]), "ShardService/Where");
 }
 
-/// What the origin client decodes for a sub-call whose backend outcome (or
-/// sub-pack failure) was `error`: the proxy's merge writes it as
-/// Fault::from_error, exactly as the decode/re-encode path did.
+/// What a client decodes for a call whose handler (or the proxy itself)
+/// failed with `error`: the server writes Fault::from_error, and the
+/// proxy's merge relays a backend's Fault element as written.
 Error as_relayed(const Error& error) {
   return soap::Fault::from_error(error).to_error();
 }
@@ -431,17 +444,17 @@ TEST_F(ProxySpliceTest, FaultedChildrenDecodeAsBeforeAtTheOrigin) {
     const std::string owner = owner_of(calls[i]);
     if (owner == "backend-2") {
       // Shed by its backend: the backend wrote Fault(CapacityExceeded),
-      // the merge re-wraps the decoded fault.
-      const Error expected = as_relayed(as_relayed(
-          Error(ErrorCode::kCapacityExceeded, "shed at backend-2")));
+      // and the merge relays it as written.
+      const Error expected =
+          as_relayed(Error(ErrorCode::kCapacityExceeded, "shed at backend-2"));
       ASSERT_FALSE(outcomes[i].ok()) << i;
       EXPECT_EQ(outcomes[i].error(), expected);
       EXPECT_EQ(resilience::fault_cause(outcomes[i].error()),
-                resilience::fault_cause(expected));
+                ErrorCode::kCapacityExceeded);
       ++shed;
     } else if (calls[i].operation == "Fail") {
-      const Error expected = as_relayed(as_relayed(
-          Error(ErrorCode::kNotFound, "no such <row> & no such key")));
+      const Error expected = as_relayed(
+          Error(ErrorCode::kNotFound, "no such <row> & no such key"));
       ASSERT_FALSE(outcomes[i].ok()) << i;
       EXPECT_EQ(outcomes[i].error(), expected);
       EXPECT_EQ(resilience::classify(outcomes[i].error()),
@@ -465,8 +478,89 @@ TEST_F(ProxySpliceTest, FaultedChildrenDecodeAsBeforeAtTheOrigin) {
   auto single = client.call(failing);
   ASSERT_FALSE(single.ok());
   EXPECT_EQ(single.error(),
-            as_relayed(as_relayed(
-                Error(ErrorCode::kNotFound, "no such <row> & no such key"))));
+            as_relayed(
+                Error(ErrorCode::kNotFound, "no such <row> & no such key")));
+}
+
+TEST_F(ProxySpliceTest, OriginClassifiesBackendFaultsAsADirectClientDoes) {
+  Backend& backend = add_backend();
+  ProxyOptions options;
+  options.reroute_on_failure = false;
+  start_proxy(std::move(options));
+  core::SpiClient direct(transport_, backend.endpoint());
+  core::SpiClient origin(transport_, proxy_->endpoint());
+
+  for (int code = static_cast<int>(ErrorCode::kInvalidArgument);
+       code <= static_cast<int>(ErrorCode::kInternal); ++code) {
+    SCOPED_TRACE(error_code_name(static_cast<ErrorCode>(code)));
+    const ServiceCall raise = core::make_call(
+        "ShardService", "Raise",
+        {{"key", Value("r")}, {"code", Value(std::int64_t{code})}});
+    // Packed beside a call that succeeds, and alone in traditional
+    // framing (a bare Fault on HTTP 500).
+    const std::vector<ServiceCall> pack = {raise, where(Value("ok"))};
+    const std::vector<CallOutcome> direct_pack = direct.call_packed(pack);
+    const std::vector<CallOutcome> relayed_pack = origin.call_packed(pack);
+    const CallOutcome direct_single = direct.call(raise);
+    const CallOutcome relayed_single = origin.call(raise);
+    ASSERT_EQ(relayed_pack.size(), pack.size());
+    EXPECT_TRUE(relayed_pack[1].ok());
+    ASSERT_FALSE(direct_pack[0].ok());
+    ASSERT_FALSE(relayed_pack[0].ok());
+    EXPECT_EQ(resilience::fault_cause(relayed_pack[0].error()),
+              resilience::fault_cause(direct_pack[0].error()))
+        << relayed_pack[0].error().to_string();
+    EXPECT_EQ(resilience::classify(relayed_pack[0].error()),
+              resilience::classify(direct_pack[0].error()))
+        << relayed_pack[0].error().to_string();
+
+    ASSERT_FALSE(direct_single.ok());
+    ASSERT_FALSE(relayed_single.ok());
+    EXPECT_EQ(resilience::classify(relayed_single.error()),
+              resilience::classify(direct_single.error()))
+        << relayed_single.error().to_string();
+    // A one-call message that its only backend shed is answered by the
+    // proxy itself: the all-shed 503 names CapacityExceeded whatever the
+    // shed cause was. Every other fault is relayed as written.
+    if (code != static_cast<int>(ErrorCode::kShutdown)) {
+      EXPECT_EQ(resilience::fault_cause(relayed_single.error()),
+                resilience::fault_cause(direct_single.error()))
+          << relayed_single.error().to_string();
+    }
+  }
+}
+
+TEST_F(ProxySpliceTest, OriginLadderRetriesAChildItsBackendShed) {
+  add_backend();
+  Backend& flaky = add_backend(Backend::Mode::kShedFirst);
+  ProxyOptions options;
+  options.reroute_on_failure = false;
+  options.rebalance_handler_round = 0;
+  start_proxy(std::move(options));
+
+  std::vector<ServiceCall> calls;
+  for (int i = 0; i < 16; ++i) {
+    calls.push_back(where(Value("s" + std::to_string(i))));
+  }
+  size_t shed = 0;
+  for (const ServiceCall& call : calls) shed += owner_of(call) == "backend-2";
+  ASSERT_GE(shed, 1u);
+  ASSERT_LT(shed, calls.size());
+
+  // The proxy does not retry (backend_retry: one attempt) and does not
+  // reroute, so only the origin's re-pack ladder can replay the shed
+  // children, once their backend admits them.
+  core::ClientOptions client_options;
+  client_options.retry.max_attempts = 3;
+  core::SpiClient client(transport_, proxy_->endpoint(), client_options);
+  auto outcomes = client.call_packed(calls);
+  ASSERT_EQ(outcomes.size(), calls.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok()) << i << ": " << outcomes[i].error().to_string();
+    EXPECT_EQ(outcomes[i].value().as_string(), owner_of(calls[i])) << i;
+  }
+  EXPECT_EQ(client.stats().partial_repacks, 1u);
+  EXPECT_EQ(flaky.bodies().size(), 2u);
 }
 
 TEST_F(ProxySpliceTest, RerouteMovesExactlyTheShedChildren) {

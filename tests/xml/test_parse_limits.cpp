@@ -151,16 +151,6 @@ TEST(ParseLimitsTest, EntityFreeTextCostsNoBudget) {
   EXPECT_TRUE(drain(plain, limits).ok());
 }
 
-TEST(ParseLimitsTest, SaxPathEnforcesLimitsToo) {
-  struct NullHandler : SaxHandler {
-  } handler;
-  ParseLimits limits;
-  limits.max_depth = 4;
-  Status status = parse_sax(nested(5), handler, limits);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code(), ErrorCode::kParseError);
-}
-
 TEST(ParseLimitsTest, ZeroLimitRejectsEverything) {
   // 0 is a real bound, not "unlimited" — a config typo fails closed.
   ParseLimits limits;

@@ -172,43 +172,5 @@ TEST(PullParserErrorTest, DeclarationNotFirst) {
             ErrorCode::kParseError);
 }
 
-// --- SAX ---------------------------------------------------------------------
-
-class RecordingHandler : public SaxHandler {
- public:
-  void on_start_element(std::string_view name,
-                        std::span<const Attribute> attributes) override {
-    log += "<" + std::string(name);
-    for (const auto& [k, v] : attributes) {
-      log += " " + std::string(k) + "=" + std::string(v);
-    }
-    log += ">";
-  }
-  void on_end_element(std::string_view name) override {
-    log += "</" + std::string(name) + ">";
-  }
-  void on_text(std::string_view text) override {
-    log += "[" + std::string(text) + "]";
-  }
-  std::string log;
-};
-
-TEST(SaxTest, DeliversEventsInDocumentOrder) {
-  RecordingHandler handler;
-  ASSERT_TRUE(parse_sax("<a x=\"1\"><b>hi</b><c/></a>", handler).ok());
-  EXPECT_EQ(handler.log, "<a x=1><b>[hi]</b><c></c></a>");
-}
-
-TEST(SaxTest, CDataDeliveredAsText) {
-  RecordingHandler handler;
-  ASSERT_TRUE(parse_sax("<a><![CDATA[<x>]]></a>", handler).ok());
-  EXPECT_EQ(handler.log, "<a>[<x>]</a>");
-}
-
-TEST(SaxTest, ReportsErrors) {
-  RecordingHandler handler;
-  EXPECT_FALSE(parse_sax("<a><b></a>", handler).ok());
-}
-
 }  // namespace
 }  // namespace spi::xml
