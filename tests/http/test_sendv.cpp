@@ -205,6 +205,11 @@ TEST(SendvTest, LargeResponseSurvivesShortVectoredWrites) {
   ASSERT_TRUE(response.ok()) << response.error().to_string();
   EXPECT_EQ(response.value().body, "echo:" + body);
 
+  // The loop counts a gather only after try_sendv returns, so the client
+  // can hold the whole response before the last write is counted. Stopping
+  // the server joins the loop thread; the loop stats outlive stop().
+  server->stop();
+
   // The response needed many short gathers, and both of its segments
   // (head + body) retired through the vectored path.
   EXPECT_GT(server->sendv_batches(), body.size() / 61 / 2);
