@@ -55,7 +55,8 @@ int main() {
                  hello.error().to_string().c_str());
     return 1;
   }
-  std::printf("single call     -> %s\n", hello.value().as_string().c_str());
+  std::printf("single call     -> %s\n",
+              std::string(hello.value().as_string()).c_str());
 
   // 4b. The pack interface: three calls, ONE SOAP message, futures per
   //     call (the client dispatcher routes each response back).
@@ -68,7 +69,7 @@ int main() {
   batch.execute();
 
   std::printf("packed call 0   -> %s\n",
-              greeting.get().value().as_string().c_str());
+              std::string(greeting.get().value().as_string()).c_str());
   std::printf("packed call 1   -> %lld\n",
               static_cast<long long>(sum.get().value().as_int()));
   core::CallOutcome failed = fault.get();

@@ -45,7 +45,7 @@ int main() {
   core::CallOutcome accepted =
       secure.call("EchoService", "Echo", {{"data", soap::Value("hi")}});
   std::printf("authorized client -> %s\n",
-              accepted.ok() ? accepted.value().as_string().c_str()
+              accepted.ok() ? std::string(accepted.value().as_string()).c_str()
                             : accepted.error().to_string().c_str());
 
   // A packed batch of 5 calls carries exactly ONE Security header.
@@ -60,7 +60,7 @@ int main() {
   for (auto& future : futures) {
     core::CallOutcome outcome = future.get();
     std::printf("packed secure call -> %s\n",
-                outcome.ok() ? outcome.value().as_string().c_str()
+                outcome.ok() ? std::string(outcome.value().as_string()).c_str()
                              : outcome.error().to_string().c_str());
   }
 

@@ -52,16 +52,16 @@ int main() {
     return 1;
   }
   std::printf("reservation: %s\n",
-              outcomes.value()[0]
-                  .value()
-                  .field("reservation_id")
-                  ->as_string()
+              std::string(outcomes.value()[0]
+                              .value()
+                              .field("reservation_id")
+                              ->as_string())
                   .c_str());
   std::printf("authorized : %s\n",
-              outcomes.value()[1]
-                  .value()
-                  .field("authorization_id")
-                  ->as_string()
+              std::string(outcomes.value()[1]
+                              .value()
+                              .field("authorization_id")
+                              ->as_string())
                   .c_str());
   std::printf("confirmed  : %s\n\n",
               outcomes.value()[2].value().as_bool() ? "yes" : "no");
@@ -82,8 +82,10 @@ int main() {
     auto outcome = future.get();
     if (outcome.ok()) {
       std::printf("%-10s %s\n",
-                  outcome.value().field("city")->as_string().c_str(),
-                  outcome.value().field("condition")->as_string().c_str());
+                  std::string(outcome.value().field("city")->as_string())
+                      .c_str(),
+                  std::string(outcome.value().field("condition")->as_string())
+                      .c_str());
     }
   }
   auto stats = batcher.stats();

@@ -19,8 +19,8 @@ namespace {
 
 void print_forecast(const soap::Value& forecast) {
   std::printf("  %-10s %-14s %3lld C  %3lld%% humidity\n",
-              forecast.field("city")->as_string().c_str(),
-              forecast.field("condition")->as_string().c_str(),
+              std::string(forecast.field("city")->as_string()).c_str(),
+              std::string(forecast.field("condition")->as_string()).c_str(),
               static_cast<long long>(
                   forecast.field("temperature_c")->as_int()),
               static_cast<long long>(

@@ -6,12 +6,16 @@
 // Invariants: no crash, no sanitizer report, every rejection is a clean
 // Result error — and, differentially, the views accept exactly what the DOM
 // path (Dispatcher::parse_request / parse_response) accepts, with the same
-// ids, services, operations, shard keys and outcomes. A mismatch aborts.
+// ids, services, operations, shard keys and outcomes. The lifetime rule
+// holds too: every decoded value reads back equal to a deep copy taken
+// before the Envelope and its input text were destroyed (decoded strings
+// keep the text they share alive). A mismatch aborts.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/dispatcher.hpp"
 #include "core/wire.hpp"
@@ -21,6 +25,7 @@
 namespace {
 
 using spi::core::wire::ParsedRequest;
+using spi::soap::Value;
 
 void require(bool holds) {
   if (!holds) std::abort();
@@ -30,7 +35,9 @@ void require(bool holds) {
 std::string dom_key(const spi::core::ServiceCall& call,
                     std::string_view shard_param) {
   for (const auto& [name, value] : call.params) {
-    if (name == shard_param && value.is_string()) return value.as_string();
+    if (name == shard_param && value.is_string()) {
+      return std::string(value.as_string());
+    }
   }
   return call.service + "/" + call.operation;
 }
@@ -84,14 +91,64 @@ void check_reply_view(std::string_view input) {
   }
 }
 
+/// A copy of `value` whose strings share no bytes with it.
+Value deep_copy(const Value& value) {
+  switch (value.type()) {
+    case Value::Type::kString:
+      return Value(std::string(value.as_string()));
+    case Value::Type::kArray: {
+      spi::soap::Array items;
+      for (const Value& item : value.as_array()) {
+        items.push_back(deep_copy(item));
+      }
+      return Value(std::move(items));
+    }
+    case Value::Type::kStruct: {
+      spi::soap::Struct fields;
+      for (const auto& [name, field] : value.as_struct()) {
+        fields.emplace_back(name, deep_copy(field));
+      }
+      return Value(std::move(fields));
+    }
+    default:
+      return value;
+  }
+}
+
 void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
            const spi::soap::EnvelopeLimits& envelope_limits) {
+  std::vector<Value> decoded;
+  std::vector<Value> copies;
   if (auto envelope =
           spi::soap::Envelope::parse(std::string(input), parse_limits,
                                      envelope_limits);
       envelope.ok()) {
-    (void)spi::core::wire::parse_request(envelope.value());
-    (void)spi::core::wire::parse_response(envelope.value());
+    if (auto request = spi::core::wire::parse_request(envelope.value());
+        request.ok()) {
+      for (const spi::core::IndexedCall& call : request.value().calls) {
+        for (const auto& [name, value] : call.call.params) {
+          decoded.push_back(value);
+        }
+      }
+      for (const spi::core::PlanStep& step : request.value().plan.steps) {
+        for (const spi::core::PlanArg& arg : step.args) {
+          decoded.push_back(arg.literal);
+        }
+      }
+    }
+    if (auto response = spi::core::wire::parse_response(envelope.value());
+        response.ok()) {
+      for (const spi::core::IndexedOutcome& outcome :
+           response.value().outcomes) {
+        if (outcome.outcome.ok()) decoded.push_back(outcome.outcome.value());
+      }
+    }
+    for (const Value& value : decoded) copies.push_back(deep_copy(value));
+  }
+  // The Envelope and the text it adopted are gone; what the values share
+  // must still be there.
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    require(decoded[i] == copies[i]);
   }
   check_request_view(input, parse_limits, envelope_limits);
 }

@@ -29,7 +29,7 @@ inline Result<std::string> require_string(const soap::Struct& params,
                  "parameter '" + std::string(name) + "' must be a string, got " +
                      std::string(value->type_name()));
   }
-  return value->as_string();
+  return std::string(value->as_string());
 }
 
 inline Result<std::int64_t> require_int(const soap::Struct& params,

@@ -135,7 +135,9 @@ std::string serialize_plan(const RemotePlan& plan) {
   return writer.take();
 }
 
-Result<RemotePlan> parse_plan(const xml::Element& element) {
+Result<RemotePlan> parse_plan(
+    const xml::Element& element,
+    const std::shared_ptr<const std::string>& source) {
   if (element.local_name() != "Remote_Execution") {
     return Error(ErrorCode::kProtocolError,
                  "not a Remote_Execution element: <" +
@@ -190,7 +192,7 @@ Result<RemotePlan> parse_plan(const xml::Element& element) {
           arg.ref_path = std::string(*path);
         }
       } else if (const xml::Element* value = arg_el.first_child("Value")) {
-        auto parsed_value = soap::read_value(*value);
+        auto parsed_value = soap::read_value(*value, source);
         if (!parsed_value.ok()) {
           return parsed_value.wrap_error("Arg '" + arg.name + "'");
         }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,7 +105,10 @@ std::string serialize_plan(const RemotePlan& plan);
 void write_plan(xml::Writer& writer, const RemotePlan& plan);
 
 /// Parses a Remote_Execution body element back into a plan (validated).
-Result<RemotePlan> parse_plan(const xml::Element& element);
+/// `source` is the text the element was parsed from; literal strings
+/// share it as soap::read_value does.
+Result<RemotePlan> parse_plan(const xml::Element& element,
+                              const std::shared_ptr<const std::string>& source);
 
 /// Executes the plan sequentially against the registry. Step i's outcome
 /// is at index i. A step whose reference target faulted (or whose path

@@ -14,11 +14,15 @@ void write_params(xml::Writer& writer, const soap::Struct& params) {
   }
 }
 
-Result<soap::Struct> read_params(const xml::Element& element) {
+/// `source` is the body the element was parsed from; soap::read_value
+/// shares it with the strings that lie in it.
+Result<soap::Struct> read_params(
+    const xml::Element& element,
+    const std::shared_ptr<const std::string>& source) {
   soap::Struct params;
   params.reserve(element.children.size());
   for (const xml::Element& child : element.children) {
-    auto value = soap::read_value(child);
+    auto value = soap::read_value(child, source);
     if (!value.ok()) {
       return value.wrap_error("parameter '" + std::string(child.name) + "'");
     }
@@ -28,18 +32,21 @@ Result<soap::Struct> read_params(const xml::Element& element) {
   return params;
 }
 
-void write_call(xml::Writer& writer, const IndexedCall& indexed) {
+void write_call(xml::Writer& writer, std::uint32_t id,
+                const ServiceCall& call) {
   writer.start_element("spi:Call");
-  std::string id;
-  append_u64(id, indexed.id);
-  writer.attribute("id", id);
-  writer.attribute("service", indexed.call.service);
-  writer.attribute("operation", indexed.call.operation);
-  write_params(writer, indexed.call.params);
+  std::string id_text;
+  append_u64(id_text, id);
+  writer.attribute("id", id_text);
+  writer.attribute("service", call.service);
+  writer.attribute("operation", call.operation);
+  write_params(writer, call.params);
   writer.end_element();
 }
 
-Result<IndexedCall> read_call(const xml::Element& element) {
+Result<IndexedCall> read_call(
+    const xml::Element& element,
+    const std::shared_ptr<const std::string>& source) {
   IndexedCall indexed;
   auto id = element.attribute("id");
   if (!id) {
@@ -61,7 +68,7 @@ Result<IndexedCall> read_call(const xml::Element& element) {
   indexed.call.service = std::string(*service);
   indexed.call.operation = std::string(*operation);
 
-  auto params = read_params(element);
+  auto params = read_params(element, source);
   if (!params.ok()) return params.error();
   indexed.call.params = std::move(params).value();
   return indexed;
@@ -76,7 +83,9 @@ void write_outcome(xml::Writer& writer, const CallOutcome& outcome) {
   }
 }
 
-Result<CallOutcome> read_outcome(const xml::Element& container) {
+Result<CallOutcome> read_outcome(
+    const xml::Element& container,
+    const std::shared_ptr<const std::string>& source) {
   // Either a <return> accessor or a nested <SOAP-ENV:Fault>.
   if (const xml::Element* fault_el = container.first_child("Fault")) {
     auto fault = soap::Fault::from_element(*fault_el);
@@ -86,7 +95,7 @@ Result<CallOutcome> read_outcome(const xml::Element& container) {
     return CallOutcome(fault->to_error());
   }
   if (const xml::Element* return_el = container.first_child("return")) {
-    auto value = soap::read_value(*return_el);
+    auto value = soap::read_value(*return_el, source);
     if (!value.ok()) return value.wrap_error("return value");
     return CallOutcome(std::move(value).value());
   }
@@ -107,7 +116,7 @@ void write_packed_request(xml::Writer& writer,
                           std::span<const ServiceCall> calls) {
   writer.start_element("spi:Parallel_Method");
   for (size_t i = 0; i < calls.size(); ++i) {
-    write_call(writer, IndexedCall{static_cast<std::uint32_t>(i), calls[i]});
+    write_call(writer, static_cast<std::uint32_t>(i), calls[i]);
   }
   writer.end_element();
 }
@@ -144,10 +153,11 @@ Result<ParsedRequest> parse_request(const soap::Envelope& envelope) {
                  "request body must contain exactly one entry");
   }
   const xml::Element& entry = *envelope.body_entries.front();
+  const std::shared_ptr<const std::string>& source = envelope.document.source;
 
   ParsedRequest parsed;
   if (entry.local_name() == "Remote_Execution") {
-    auto plan = parse_plan(entry);
+    auto plan = parse_plan(entry, source);
     if (!plan.ok()) return plan.error();
     parsed.kind = ParsedRequest::Kind::kPlan;
     parsed.packed = true;  // plans answer with Parallel_Response framing
@@ -164,7 +174,7 @@ Result<ParsedRequest> parse_request(const soap::Envelope& envelope) {
                      "unexpected <" + std::string(call_el.name) +
                          "> in Parallel_Method");
       }
-      auto call = read_call(call_el);
+      auto call = read_call(call_el, source);
       if (!call.ok()) return call.error();
       parsed.calls.push_back(std::move(call).value());
     }
@@ -185,7 +195,7 @@ Result<ParsedRequest> parse_request(const soap::Envelope& envelope) {
     return Error(ErrorCode::kProtocolError,
                  "request is missing the spi:service attribute");
   }
-  auto params = read_params(entry);
+  auto params = read_params(entry, source);
   if (!params.ok()) return params.error();
   indexed.call.params = std::move(params).value();
   parsed.kind = ParsedRequest::Kind::kSingle;
@@ -263,6 +273,7 @@ Result<ParsedResponse> parse_response(const soap::Envelope& envelope) {
                  "response body must contain exactly one entry");
   }
   const xml::Element& entry = *envelope.body_entries.front();
+  const std::shared_ptr<const std::string>& source = envelope.document.source;
 
   ParsedResponse parsed;
   if (entry.local_name() == "Parallel_Response") {
@@ -280,7 +291,7 @@ Result<ParsedResponse> parse_response(const soap::Envelope& envelope) {
         return Error(ErrorCode::kProtocolError,
                      "CallResponse has a missing/invalid id");
       }
-      auto outcome = read_outcome(response_el);
+      auto outcome = read_outcome(response_el, source);
       if (!outcome.ok()) return outcome.error();
       parsed.outcomes.push_back(IndexedOutcome{
           static_cast<std::uint32_t>(*parsed_id), std::move(outcome).value()});
@@ -293,7 +304,7 @@ Result<ParsedResponse> parse_response(const soap::Envelope& envelope) {
     parsed.outcomes.push_back(IndexedOutcome{0, CallOutcome(fault->to_error())});
     return parsed;
   }
-  auto outcome = read_outcome(entry);
+  auto outcome = read_outcome(entry, source);
   if (!outcome.ok()) return outcome.error();
   parsed.outcomes.push_back(IndexedOutcome{0, std::move(outcome).value()});
   return parsed;

@@ -267,7 +267,7 @@ std::string PackingProxy::route_key(const core::ServiceCall& call) const {
   if (!options_.shard_param.empty()) {
     for (const auto& [name, value] : call.params) {
       if (name == options_.shard_param && value.is_string()) {
-        return value.as_string();
+        return std::string(value.as_string());
       }
     }
   }
@@ -766,7 +766,10 @@ http::Response PackingProxy::handle(http::Request&& request) {
   // --- all-shed: relay the fleet's LARGEST Retry-After ------------------
   // Every backend said "not now". The origin client should come back when
   // the whole fleet has headroom again, which is governed by the slowest
-  // member — so the hints merge by MAX, not first-wins.
+  // member — so the hints merge by MAX, not first-wins. The fault names
+  // the backends' shed cause when they all gave the same one (a draining
+  // backend's Shutdown, as a direct client would read it), and
+  // CapacityExceeded when they differ.
   bool all_shed = true;
   Duration max_hint = Duration::zero();
   for (const Group& group : groups) {
@@ -775,10 +778,25 @@ http::Response PackingProxy::handle(http::Request&& request) {
   }
   if (all_shed && !groups.empty()) {
     all_backend_sheds_.fetch_add(1, std::memory_order_relaxed);
+    std::optional<ErrorCode> cause;
+    auto note = [&cause](const Error& shed) {
+      const ErrorCode code = resilience::fault_cause(shed);
+      cause = !cause || *cause == code ? code : ErrorCode::kCapacityExceeded;
+    };
+    for (const Group& group : groups) {
+      if (!group.result.ok()) {
+        note(group.result.error());
+        continue;
+      }
+      for (const core::wire::RelayedOutcome& outcome :
+           group.result.value().outcomes) {
+        note(outcome.error());
+      }
+    }
     const std::string hint = max_hint > Duration::zero()
                                  ? format_retry_after(max_hint)
                                  : retry_after_value_;
-    return respond_shed(Error(ErrorCode::kCapacityExceeded,
+    return respond_shed(Error(cause.value_or(ErrorCode::kCapacityExceeded),
                               "every backend shed this message"),
                         hint);
   }

@@ -48,7 +48,7 @@ Result<std::string> struct_string(const Value& value, std::string_view field) {
                  "response struct missing string field '" +
                      std::string(field) + "'");
   }
-  return entry->as_string();
+  return std::string(entry->as_string());
 }
 
 Result<std::int64_t> struct_int(const Value& value, std::string_view field) {

@@ -1,6 +1,7 @@
 #include "soap/serializer.hpp"
 
 #include <charconv>
+#include <functional>
 
 #include "common/string_util.hpp"
 
@@ -19,6 +20,21 @@ const char* xsi_type_of(const Value& value) {
     case Value::Type::kNull: return "xsd:anyType";
   }
   return "xsd:anyType";
+}
+
+/// A string accessor's text: shared with `source` when it lies there (the
+/// unescaped payload case), copied when it does not: the parser wrote it
+/// into the Document's arena (expanded or joined text), or the Document
+/// has no source (bxml built it).
+Value read_text(std::string_view text,
+                const std::shared_ptr<const std::string>& source) {
+  const std::less_equal<const char*> at_or_before;
+  if (source && at_or_before(source->data(), text.data()) &&
+      at_or_before(text.data() + text.size(),
+                   source->data() + source->size())) {
+    return Value::shared_string(source, text);
+  }
+  return Value(text);
 }
 
 }  // namespace
@@ -125,16 +141,17 @@ std::string value_to_xml(std::string_view name, const Value& value) {
   return writer.take();
 }
 
-Result<Value> read_value(const xml::Element& element) {
+Result<Value> read_value(const xml::Element& element,
+                         const std::shared_ptr<const std::string>& source) {
   if (auto nil = element.attribute("xsi:nil"); nil && *nil == "true") {
     return Value();
   }
 
-  auto read_children = [&element]() -> Result<Struct> {
+  auto read_children = [&element, &source]() -> Result<Struct> {
     Struct fields;
     fields.reserve(element.children.size());
     for (const xml::Element& child : element.children) {
-      auto field = read_value(child);
+      auto field = read_value(child, source);
       if (!field.ok()) return field.error();
       fields.emplace_back(std::string(child.local_name()),
                           std::move(field).value());
@@ -165,7 +182,7 @@ Result<Value> read_value(const xml::Element& element) {
       return Value(parsed.value());
     }
     case DeclaredType::kString:
-      return Value(element.text);
+      return read_text(element.text, source);
     case DeclaredType::kArray: {
       auto fields = read_children();
       if (!fields.ok()) return fields.error();
@@ -181,7 +198,7 @@ Result<Value> read_value(const xml::Element& element) {
   }
 
   // No (or unknown) xsi:type: infer from shape, favouring interop.
-  if (element.children.empty()) return Value(element.text);
+  if (element.children.empty()) return read_text(element.text, source);
   bool all_items = true;
   for (const xml::Element& child : element.children) {
     if (child.local_name() != "item") {
@@ -198,7 +215,7 @@ Result<Value> read_value(const xml::Element& element) {
 Result<Value> value_from_xml(std::string_view xml_fragment) {
   auto document = xml::parse_document(std::string(xml_fragment));
   if (!document.ok()) return document.error();
-  return read_value(document.value().root);
+  return read_value(document.value().root, document.value().source);
 }
 
 }  // namespace spi::soap

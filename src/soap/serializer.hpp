@@ -25,8 +25,13 @@ void write_value(xml::Writer& writer, std::string_view name,
 /// Serializes to a standalone XML fragment string.
 std::string value_to_xml(std::string_view name, const Value& value);
 
-/// Parses one accessor element back into a Value.
-Result<Value> read_value(const xml::Element& element);
+/// Parses one accessor element back into a Value. `source` is the text
+/// the element's Document was parsed from (xml::Document::source, null for
+/// a Document built without text). A string whose bytes lie in *source
+/// shares them and keeps *source alive (Value::shared_string); any other
+/// string, entity-expanded or joined from several runs, is copied.
+Result<Value> read_value(const xml::Element& element,
+                         const std::shared_ptr<const std::string>& source);
 
 /// Parses an XML fragment produced by value_to_xml.
 Result<Value> value_from_xml(std::string_view xml_fragment);

@@ -20,12 +20,12 @@ void append_debug(std::string& out, const Value& value, size_t max_string) {
       out += format_double(value.as_double());
       break;
     case Value::Type::kString: {
-      const std::string& s = value.as_string();
+      std::string_view s = value.as_string();
       out += '"';
       if (s.size() <= max_string) {
         out += s;
       } else {
-        out.append(s, 0, max_string);
+        out += s.substr(0, max_string);
         out += "…(";
         append_u64(out, s.size());
         out += " bytes)";
@@ -58,6 +58,21 @@ void append_debug(std::string& out, const Value& value, size_t max_string) {
   }
 }
 }  // namespace
+
+Value::Value(std::string value) : data_(Text{}) {
+  // The empty string needs no owner; any other string moves behind one.
+  if (value.empty()) return;
+  auto owner = std::make_shared<const std::string>(std::move(value));
+  std::string_view view = *owner;
+  data_ = Text{std::move(owner), view};
+}
+
+Value Value::shared_string(std::shared_ptr<const std::string> owner,
+                           std::string_view text) {
+  Value value;
+  value.data_ = text.empty() ? Text{} : Text{std::move(owner), text};
+  return value;
+}
 
 std::string Value::to_debug_string(size_t max_string) const {
   std::string out;

@@ -1,6 +1,14 @@
 // SOAP value model: the typed data that crosses the wire as operation
 // parameters and results. Mirrors SOAP 1.1 section-5 encoding's simple
 // types plus arrays and (ordered) structs.
+//
+// Strings are immutable bytes behind a shared owner, so copying a Value
+// never copies payload bytes: a copy takes one more reference. as_string()
+// is a std::string_view of those bytes, valid while any Value holding them
+// lives, and not NUL-terminated. A string decoded from a received message
+// may share the whole message body (soap::read_value): keeping that one
+// string keeps the body alive, so copy it out (std::string(as_string()))
+// to keep it alone.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +39,18 @@ class Value {
   Value(std::int64_t value) : data_(value) {}              // NOLINT(implicit)
   Value(int value) : data_(static_cast<std::int64_t>(value)) {}  // NOLINT
   Value(double value) : data_(value) {}                    // NOLINT(implicit)
-  Value(std::string value) : data_(std::move(value)) {}    // NOLINT(implicit)
-  Value(std::string_view value) : data_(std::string(value)) {}   // NOLINT
-  Value(const char* value) : data_(std::string(value)) {}  // NOLINT(implicit)
+  /// Takes over `value`'s bytes (no copy) behind a new shared owner.
+  Value(std::string value);                                // NOLINT(implicit)
+  Value(std::string_view value) : Value(std::string(value)) {}  // NOLINT
+  Value(const char* value) : Value(std::string(value)) {}  // NOLINT(implicit)
   Value(Array value) : data_(std::move(value)) {}          // NOLINT(implicit)
   Value(Struct value) : data_(std::move(value)) {}         // NOLINT(implicit)
+
+  /// A string Value whose bytes are `text`, shared with `owner` instead
+  /// of copied: the Value keeps all of *owner alive. `text` must lie
+  /// inside *owner.
+  static Value shared_string(std::shared_ptr<const std::string> owner,
+                             std::string_view text);
 
   Type type() const { return static_cast<Type>(data_.index()); }
   bool is_null() const { return type() == Type::kNull; }
@@ -51,7 +66,9 @@ class Value {
   bool as_bool() const { return get<bool>("bool"); }
   std::int64_t as_int() const { return get<std::int64_t>("int"); }
   double as_double() const { return get<double>("double"); }
-  const std::string& as_string() const { return get<std::string>("string"); }
+  /// A view of the string's bytes, valid while any Value holding them
+  /// lives; not NUL-terminated.
+  std::string_view as_string() const { return get<Text>("string").view; }
   const Array& as_array() const { return get<Array>("array"); }
   const Struct& as_struct() const { return get<Struct>("struct"); }
   Array& as_array() { return get_mut<Array>("array"); }
@@ -76,6 +93,16 @@ class Value {
   }
 
  private:
+  /// The one string representation: `view` lies inside *owner (null only
+  /// for the empty string), and equality compares the bytes.
+  struct Text {
+    std::shared_ptr<const std::string> owner;
+    std::string_view view;
+    friend bool operator==(const Text& a, const Text& b) {
+      return a.view == b.view;
+    }
+  };
+
   template <typename T>
   const T& get(std::string_view what) const {
     if (const T* p = std::get_if<T>(&data_)) return *p;
@@ -91,8 +118,7 @@ class Value {
                        std::string(what));
   }
 
-  std::variant<std::monostate, bool, std::int64_t, double, std::string, Array,
-               Struct>
+  std::variant<std::monostate, bool, std::int64_t, double, Text, Array, Struct>
       data_;
 };
 

@@ -432,7 +432,7 @@ Result<Document> parse_document(std::string input,
   Document document;
   // Adopt the input: the DOM's views point straight into it, and the
   // pointer keeps those bytes where they are when the Document moves.
-  document.source = std::make_unique<const std::string>(std::move(input));
+  document.source = std::make_shared<const std::string>(std::move(input));
   PullParser parser(*document.source, &document.arena, limits);
 
   // One frame per open element. An element with a single text run keeps

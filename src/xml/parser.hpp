@@ -204,8 +204,10 @@ class Element {
 struct Document {
   Element root;
   /// The text parse_document adopted; null for a Document built without
-  /// text (the bxml decoder), whose views all point into the arena.
-  std::unique_ptr<const std::string> source;
+  /// text (the bxml decoder), whose views all point into the arena. The
+  /// pointer is shared so that values decoded from the text can keep it
+  /// alive after the Document is gone (soap::read_value).
+  std::shared_ptr<const std::string> source;
   MonotonicArena arena;
 
   Document() = default;

@@ -24,7 +24,9 @@ using soap::Value;
 std::string dom_key(const ServiceCall& call, std::string_view shard_param) {
   if (!shard_param.empty()) {
     for (const auto& [name, value] : call.params) {
-      if (name == shard_param && value.is_string()) return value.as_string();
+      if (name == shard_param && value.is_string()) {
+        return std::string(value.as_string());
+      }
     }
   }
   return call.service + "/" + call.operation;

@@ -111,7 +111,7 @@ TEST(PlanWireTest, SerializeParseRoundTrip) {
 
   auto document = xml::parse_document(serialize_plan(plan));
   ASSERT_TRUE(document.ok());
-  auto parsed = parse_plan(document.value().root);
+  auto parsed = parse_plan(document.value().root, document.value().source);
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value(), plan);
 }
@@ -120,7 +120,7 @@ TEST(PlanWireTest, ParseRejectsMalformedPlans) {
   auto parse_fragment = [](std::string_view xml) {
     auto document = xml::parse_document(std::string(xml));
     EXPECT_TRUE(document.ok());
-    return parse_plan(document.value().root);
+    return parse_plan(document.value().root, document.value().source);
   };
   EXPECT_FALSE(parse_fragment("<spi:NotAPlan/>").ok());
   // Step ids must be dense ascending.

@@ -206,7 +206,7 @@ TEST_F(ProxyTest, PackedScatterPreservesCallIdsAcrossBackends) {
     EXPECT_EQ(outcomes[i].value().as_string(),
               name_of(expected_owner(calls[i], member_endpoints())))
         << "call " << i;
-    hit.insert(outcomes[i].value().as_string());
+    hit.insert(std::string(outcomes[i].value().as_string()));
   }
   EXPECT_GE(hit.size(), 2u) << "one pack must actually fan out";
 

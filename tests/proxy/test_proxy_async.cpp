@@ -115,7 +115,7 @@ class ProxyFixture : public ::testing::Test {
       const std::vector<CallOutcome>& outcomes) {
     std::map<std::string, int> counts;
     for (const CallOutcome& outcome : outcomes) {
-      if (outcome.ok()) ++counts[outcome.value().as_string()];
+      if (outcome.ok()) ++counts[std::string(outcome.value().as_string())];
     }
     return counts;
   }

@@ -409,7 +409,7 @@ TEST_F(ProxySpliceTest, EveryCallLandsOnItsRingOwner) {
   for (size_t i = 0; i < calls.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << i << ": " << outcomes[i].error().to_string();
     EXPECT_EQ(outcomes[i].value().as_string(), owner_of(calls[i])) << i;
-    hit.insert(outcomes[i].value().as_string());
+    hit.insert(std::string(outcomes[i].value().as_string()));
   }
   EXPECT_GE(hit.size(), 2u);
   EXPECT_EQ(proxy_->route_key(calls[24]), "ShardService/Where");
@@ -520,14 +520,53 @@ TEST_F(ProxySpliceTest, OriginClassifiesBackendFaultsAsADirectClientDoes) {
               resilience::classify(direct_single.error()))
         << relayed_single.error().to_string();
     // A one-call message that its only backend shed is answered by the
-    // proxy itself: the all-shed 503 names CapacityExceeded whatever the
-    // shed cause was. Every other fault is relayed as written.
-    if (code != static_cast<int>(ErrorCode::kShutdown)) {
-      EXPECT_EQ(resilience::fault_cause(relayed_single.error()),
-                resilience::fault_cause(direct_single.error()))
-          << relayed_single.error().to_string();
-    }
+    // proxy's all-shed 503, which names the backend's shed cause
+    // (CapacityExceeded or Shutdown). Every other fault is relayed as
+    // written.
+    EXPECT_EQ(resilience::fault_cause(relayed_single.error()),
+              resilience::fault_cause(direct_single.error()))
+        << relayed_single.error().to_string();
   }
+}
+
+TEST_F(ProxySpliceTest, AllShedFaultNamesTheBackendsCauseWhenTheyAgree) {
+  add_backend();
+  add_backend();
+  ProxyOptions options;
+  options.reroute_on_failure = false;
+  options.rebalance_handler_round = 0;
+  start_proxy(std::move(options));
+  // A Raise call on `backend` that sheds with `code`.
+  auto shed_on = [this](const std::string& backend, ErrorCode code) {
+    for (int probe = 0;; ++probe) {
+      ServiceCall call = core::make_call(
+          "ShardService", "Raise",
+          {{"key", Value("s" + std::to_string(probe))},
+           {"code", Value(std::int64_t{static_cast<int>(code)})}});
+      if (owner_of(call) == backend) return call;
+    }
+  };
+  core::ClientOptions client_options;
+  client_options.retry.max_attempts = 1;
+  core::SpiClient origin(transport_, proxy_->endpoint(), client_options);
+  auto cause_of = [&origin](const std::vector<ServiceCall>& calls) {
+    const std::vector<CallOutcome> outcomes = origin.call_packed(calls);
+    EXPECT_EQ(outcomes.size(), calls.size());
+    for (const CallOutcome& outcome : outcomes) {
+      EXPECT_FALSE(outcome.ok());
+      if (outcome.ok()) return ErrorCode::kOk;
+      EXPECT_EQ(outcome.error(), outcomes.front().error());
+    }
+    return resilience::fault_cause(outcomes.front().error());
+  };
+
+  EXPECT_EQ(cause_of({shed_on("backend-1", ErrorCode::kShutdown),
+                      shed_on("backend-2", ErrorCode::kShutdown)}),
+            ErrorCode::kShutdown);
+  EXPECT_EQ(cause_of({shed_on("backend-1", ErrorCode::kShutdown),
+                      shed_on("backend-2", ErrorCode::kCapacityExceeded)}),
+            ErrorCode::kCapacityExceeded);
+  EXPECT_EQ(proxy_->stats().all_backend_sheds, 2u);
 }
 
 TEST_F(ProxySpliceTest, OriginLadderRetriesAChildItsBackendShed) {

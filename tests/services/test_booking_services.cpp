@@ -67,8 +67,7 @@ TEST_F(AirlineTest, UnknownFlightRejected) {
 
 TEST_F(AirlineTest, ConfirmLifecycle) {
   auto reservation = airline_.reserve({{"flight_id", Value("TA-1")}});
-  std::string id =
-      reservation.value().field("reservation_id")->as_string();
+  std::string id(reservation.value().field("reservation_id")->as_string());
   EXPECT_EQ(airline_.pending_reservations(), 1u);
 
   auto confirmed = airline_.confirm_reservation(
@@ -89,8 +88,7 @@ TEST_F(AirlineTest, ConfirmLifecycle) {
 
 TEST_F(AirlineTest, CancelReturnsSeatToInventory) {
   auto reservation = airline_.reserve({{"flight_id", Value("TA-1")}});
-  std::string id =
-      reservation.value().field("reservation_id")->as_string();
+  std::string id(reservation.value().field("reservation_id")->as_string());
   ASSERT_EQ(airline_.seats_available("TA-1"), 1);
   ASSERT_TRUE(
       airline_.cancel_reservation({{"reservation_id", Value(id)}}).ok());
@@ -191,7 +189,7 @@ TEST_F(HotelTest, ReserveConfirmCancelLifecycle) {
   ASSERT_TRUE(reservation.ok());
   EXPECT_EQ(reservation.value().field("total_cents")->as_int(), 30'000);
   EXPECT_EQ(hotel_.rooms_available("STD"), 1);
-  std::string id = reservation.value().field("reservation_id")->as_string();
+  std::string id(reservation.value().field("reservation_id")->as_string());
 
   ASSERT_TRUE(hotel_
                   .confirm_reservation({{"reservation_id", Value(id)},
@@ -270,7 +268,7 @@ TEST_F(CreditCardTest, AuthorizeMintsAuthorizationId) {
   auto outcome = card_.authorize(
       {{"card_number", Value(pan_)}, {"amount_cents", Value(25'000)}});
   ASSERT_TRUE(outcome.ok());
-  std::string auth = outcome.value().field("authorization_id")->as_string();
+  std::string auth(outcome.value().field("authorization_id")->as_string());
   EXPECT_EQ(auth.substr(0, 5), "AUTH-");
   EXPECT_EQ(outcome.value().field("amount_cents")->as_int(), 25'000);
   EXPECT_EQ(card_.authorized_total(pan_), 25'000);
@@ -313,7 +311,7 @@ TEST_F(CreditCardTest, EnforcesCumulativeLimit) {
 TEST_F(CreditCardTest, VoidReleasesHold) {
   auto outcome = card_.authorize(
       {{"card_number", Value(pan_)}, {"amount_cents", Value(60'000)}});
-  std::string auth = outcome.value().field("authorization_id")->as_string();
+  std::string auth(outcome.value().field("authorization_id")->as_string());
   ASSERT_TRUE(card_.void_authorization({{"authorization_id", Value(auth)}})
                   .ok());
   EXPECT_EQ(card_.authorized_total(pan_), 0);
