@@ -57,14 +57,20 @@ void JsonObject::set(std::string key, std::int64_t value) {
 }
 
 void JsonObject::set(std::string key, std::string value) {
-  fields_.emplace_back(std::move(key), "\"" + escape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += escape(value);
+  quoted += '"';
+  fields_.emplace_back(std::move(key), std::move(quoted));
 }
 
 std::string JsonObject::encode() const {
   std::string out = "{";
   for (size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + escape(fields_[i].first) + "\": " + fields_[i].second;
+    out += '"';
+    out += escape(fields_[i].first);
+    out += "\": ";
+    out += fields_[i].second;
   }
   out += "}";
   return out;

@@ -175,6 +175,7 @@ void SpiServer::register_instruments(net::Transport& transport) {
   telemetry::MetricsRegistry& reg = *metrics_;
   dispatcher_.bind_metrics(reg, "server");
   assembler_.bind_metrics(reg, "server");
+  telemetry::bind_buffer_pool_metrics(reg);
 
   reg.add_callback("spi_server_in_flight",
                    "Messages currently being executed",

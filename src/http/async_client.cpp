@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 
 namespace spi::http {
@@ -157,8 +158,11 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
         segments <= kSegmentsPerExchange * conn->inflight.size() &&
         (segments > kSegmentsPerExchange || conn->outbox_off == 0);
     if (tail && unwritten) {
-      conn->outbox.erase(conn->outbox.end() - kSegmentsPerExchange,
-                         conn->outbox.end());
+      const auto pruned = conn->outbox.end() - kSegmentsPerExchange;
+      for (auto it = pruned; it != conn->outbox.end(); ++it) {
+        buffer_pool::give(std::move(*it));
+      }
+      conn->outbox.erase(pruned, conn->outbox.end());
       conn->inflight.pop_back();
       if (!conn->connecting) update_interest(conn);
       maybe_arm_drain(conn);
@@ -397,6 +401,7 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
       while (!conn->outbox.empty() &&
              conn->outbox_off >= conn->outbox.front().size()) {
         conn->outbox_off -= conn->outbox.front().size();
+        buffer_pool::give(std::move(conn->outbox.front()));
         conn->outbox.pop_front();
       }
       if (n == 0) break;  // zero-length segment edge; avoid spinning

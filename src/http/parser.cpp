@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/buffer_pool.hpp"
 #include "common/string_util.hpp"
 
 namespace spi::http {
@@ -111,8 +112,13 @@ size_t MessageParser::append_body(std::string_view bytes) {
   std::string& out = body();
   // A Content-Length body is sized once, at its first byte: the length
   // already passed max_body_bytes, and a peer that sends headers and then
-  // stalls never gets the allocation. Chunked bodies grow geometrically.
-  if (state_ == State::kBody && out.empty()) out.reserve(body_remaining_);
+  // stalls never gets the allocation. An envelope-sized body comes from
+  // the buffer pool (common/buffer_pool.hpp) and goes back to it when the
+  // last reader of its parsed Document lets go. Chunked bodies grow
+  // geometrically.
+  if (state_ == State::kBody && out.empty()) {
+    out = buffer_pool::take(body_remaining_);
+  }
   out.append(bytes.data(), take);
   *remaining -= take;
   if (state_ == State::kBody && body_remaining_ == 0) {

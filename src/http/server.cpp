@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 
+#include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 
 namespace spi::http {
@@ -230,6 +231,7 @@ class HttpServer::ReactorConn final
       }
       n -= remaining;
       segment_offset_ = 0;
+      buffer_pool::give(std::move(front));
       outbox_segments_.pop_front();
       loop_stats_.sendv_segments.fetch_add(1, std::memory_order_relaxed);
     }

@@ -115,6 +115,7 @@ PackingProxy::PackingProxy(net::Transport& transport, net::Endpoint at,
   }
   dispatcher_.bind_metrics(reg, "proxy");
   assembler_.bind_metrics(reg, "proxy");
+  telemetry::bind_buffer_pool_metrics(reg);
 
   // Async scatter runtime: one reactor loop thread drives EVERY sub-pack
   // to every backend (DESIGN.md §16). Built before the fleet so

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "common/buffer_pool.hpp"
 #include "common/error.hpp"
 
 namespace spi::telemetry {
@@ -238,6 +239,42 @@ std::string MetricsRegistry::expose() const {
     }
   }
   return out;
+}
+
+void bind_buffer_pool_metrics(MetricsRegistry& registry) {
+  struct View {
+    const char* name;
+    const char* help;
+    CallbackKind kind;
+    std::uint64_t buffer_pool::Stats::*field;
+  };
+  static constexpr View kViews[] = {
+      {"spi_buffer_pool_reused_total",
+       "Envelope-sized buffer takes served from an idle buffer "
+       "(process-wide)",
+       CallbackKind::kCounter, &buffer_pool::Stats::reused},
+      {"spi_buffer_pool_fresh_total",
+       "Envelope-sized buffer takes that found no idle buffer and "
+       "allocated (process-wide)",
+       CallbackKind::kCounter, &buffer_pool::Stats::fresh},
+      {"spi_buffer_pool_kept_total",
+       "Envelope-sized buffers given back and kept idle (process-wide)",
+       CallbackKind::kCounter, &buffer_pool::Stats::kept},
+      {"spi_buffer_pool_freed_total",
+       "Envelope-sized buffers given back and freed because the idle "
+       "bound was reached (process-wide)",
+       CallbackKind::kCounter, &buffer_pool::Stats::freed},
+      {"spi_buffer_pool_idle_bytes",
+       "Capacity of the buffers the pool holds idle (process-wide)",
+       CallbackKind::kGauge, &buffer_pool::Stats::idle_bytes},
+  };
+  for (const View& view : kViews) {
+    registry.add_callback(view.name, view.help, view.kind, {},
+                          [field = view.field]() -> double {
+                            return static_cast<double>(
+                                buffer_pool::stats().*field);
+                          });
+  }
 }
 
 }  // namespace spi::telemetry

@@ -138,4 +138,9 @@ class MetricsRegistry {
   std::map<std::string, size_t> index_;    // "name\xff{labels}" -> entries_ idx
 };
 
+/// Registers scrape-time views of the process-wide buffer pool
+/// (common/buffer_pool.hpp) as spi_buffer_pool_*. Every registry that
+/// binds them reads the same, whole-process values.
+void bind_buffer_pool_metrics(MetricsRegistry& registry);
+
 }  // namespace spi::telemetry

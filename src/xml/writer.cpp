@@ -1,5 +1,6 @@
 #include "xml/writer.hpp"
 
+#include "common/buffer_pool.hpp"
 #include "xml/text.hpp"
 
 namespace spi::xml {
@@ -133,6 +134,15 @@ Writer& Writer::end_element() {
     out_ += '>';
   }
   element_has_text_ = false;
+  return *this;
+}
+
+Writer& Writer::reserve(size_t capacity) {
+  if (out_.empty() && capacity > out_.capacity()) {
+    out_ = buffer_pool::take(capacity);
+  } else {
+    out_.reserve(capacity);
+  }
   return *this;
 }
 

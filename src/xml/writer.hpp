@@ -1,8 +1,10 @@
 // Streaming XML writer. Serialization (client Assembler, server response
 // Assembler) appends into one growing string; no intermediate tree is built,
 // which keeps the pack path to a single pass over the payload (Per.14).
-// Reusable: reset() keeps the output and tag-stack capacity, so a
-// long-lived Writer reaches a steady state of zero allocations per message.
+// Reusable: take() hands the output buffer out with each document and
+// reset() keeps the tag-stack capacity; reserve() on an empty Writer takes
+// its next buffer from the process's buffer pool (common/buffer_pool.hpp),
+// so an envelope-sized buffer written out earlier is filled again.
 #pragma once
 
 #include <string>
@@ -75,7 +77,8 @@ class Writer {
     return std::move(out_);
   }
 
-  /// Clears all state for the next document, retaining buffer capacity.
+  /// Clears all state for the next document, retaining the capacity of
+  /// the tag stack and of an output buffer not yet taken.
   Writer& reset() {
     out_.clear();
     open_elements_.clear();
@@ -84,11 +87,9 @@ class Writer {
     return *this;
   }
 
-  /// Grows the output buffer to at least `capacity` bytes.
-  Writer& reserve(size_t capacity) {
-    out_.reserve(capacity);
-    return *this;
-  }
+  /// Grows the output buffer to at least `capacity` bytes. With nothing
+  /// written yet the buffer comes from buffer_pool::take().
+  Writer& reserve(size_t capacity);
 
  private:
   /// Open tags are remembered as (offset, length) of the name already

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "benchsupport/workload.hpp"
+#include "common/buffer_pool.hpp"
 #include "concurrency/wait_group.hpp"
 #include "core/call_context.hpp"
 #include "core/client.hpp"
@@ -104,6 +105,33 @@ TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   EXPECT_NE(text.find("spi_server_admission_rejections_total 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("spi_server_in_flight 0\n"), std::string::npos);
+
+  // The buffer pool's process-wide counts. Every buffer this test uses
+  // lies below the pool's floor, so they cannot move between the scrape
+  // and stats().
+  const buffer_pool::Stats pool = buffer_pool::stats();
+  const std::pair<std::string, std::uint64_t> pool_series[] = {
+      {"spi_buffer_pool_reused_total", pool.reused},
+      {"spi_buffer_pool_fresh_total", pool.fresh},
+      {"spi_buffer_pool_kept_total", pool.kept},
+      {"spi_buffer_pool_freed_total", pool.freed},
+      {"spi_buffer_pool_idle_bytes", pool.idle_bytes},
+  };
+  for (const auto& [name, value] : pool_series) {
+    const size_t help = text.find("# HELP " + name + " ");
+    ASSERT_NE(help, std::string::npos) << name;
+    EXPECT_NE(text.substr(help, text.find('\n', help) - help)
+                  .find("(process-wide)"),
+              std::string::npos)
+        << name;
+    EXPECT_NE(text.find(name + " " + std::to_string(value) + "\n"),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_NE(text.find("# TYPE spi_buffer_pool_idle_bytes gauge\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE spi_buffer_pool_kept_total counter\n"),
+            std::string::npos);
 }
 
 // The async HTTP client's views bound into a server's registry, over TCP

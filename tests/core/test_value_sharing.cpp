@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "codec/bxml.hpp"
+#include "common/buffer_pool.hpp"
 #include "concurrency/reactor.hpp"
 #include "core/assembler.hpp"
 #include "core/client.hpp"
@@ -257,6 +258,90 @@ TEST_F(ValueSharingEndToEndTest, OutcomesOutliveTheirClient) {
     EXPECT_EQ(async.value()[i].value(), calls[i].params[0].second) << i;
     EXPECT_EQ(blocking[i].value(), calls[i].params[0].second) << i;
   }
+}
+
+// Envelope-sized buffers go back to the buffer pool where they die and
+// carry later messages (common/buffer_pool.hpp). A received body goes back
+// only when its last reader lets go, so strings kept from the first message
+// read back intact after later messages reused pooled buffers, and outcomes
+// outlive the client and server whose buffers they share.
+TEST_F(ValueSharingEndToEndTest, KeptStringsSurviveReusedEnvelopeBuffers) {
+  constexpr size_t kCalls = 16;
+  constexpr size_t kBytes = 100 * 1000;
+  constexpr int kLaterMessages = 50;
+  auto message = [&](int round) {
+    std::vector<ServiceCall> calls;
+    for (size_t i = 0; i + 1 < kCalls; ++i) {
+      std::string data(kBytes, static_cast<char>('a' + (round + i) % 26));
+      data += std::to_string(round);
+      calls.push_back(core::make_call("EchoService", "Echo",
+                                      {{"data", Value(std::move(data))}}));
+    }
+    calls.push_back(core::make_call(
+        "KeepService", "Keep",
+        {{"data", Value(std::string(kBytes, 'k') + std::to_string(round))}}));
+    return calls;
+  };
+
+  const std::vector<ServiceCall> first_calls = message(0);
+  const std::vector<ServiceCall> last_calls = message(kLaterMessages);
+  std::vector<CallOutcome> first;
+  std::vector<CallOutcome> last;
+  std::string kept;  // what the Keep handler answered the first time
+  buffer_pool::Stats before;
+  {
+    Reactor reactor;
+    reactor.start();
+    http::AsyncHttpClient async_http(reactor, transport_);
+    core::ClientOptions options;
+    options.async_client = &async_http;
+    core::SpiClient client(transport_, server_->endpoint(), options);
+
+    auto result = client.execute_packed_future(first_calls).get();
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    first = std::move(result.value());
+    ASSERT_EQ(first.size(), kCalls);
+    ASSERT_TRUE(first.back().ok()) << first.back().error().to_string();
+    kept = std::string(first.back().value().as_string());
+
+    before = buffer_pool::stats();
+    for (int round = 1; round <= kLaterMessages; ++round) {
+      const std::vector<ServiceCall> calls =
+          round == kLaterMessages ? last_calls : message(round);
+      auto later = client.execute_packed_future(calls).get();
+      ASSERT_TRUE(later.ok()) << later.error().to_string();
+      ASSERT_EQ(later.value().size(), kCalls);
+      for (size_t i = 0; i + 1 < kCalls; ++i) {
+        ASSERT_TRUE(later.value()[i].ok()) << round << " " << i;
+        EXPECT_EQ(later.value()[i].value(), calls[i].params[0].second)
+            << round << " " << i;
+      }
+      // The server's kept Value shares the first request body.
+      ASSERT_TRUE(later.value().back().ok()) << round;
+      EXPECT_EQ(later.value().back().value().as_string(), kept) << round;
+      if (round == kLaterMessages) last = std::move(later.value());
+    }
+  }
+  const buffer_pool::Stats after = buffer_pool::stats();
+  EXPECT_GE(after.reused - before.reused, size_t{kLaterMessages});
+  server_->stop();
+  server_.reset();
+
+  // Fill every idle buffer: one given back while a Value still read it
+  // would now read '#'.
+  std::vector<std::string> idle;
+  while (buffer_pool::stats().idle_bytes > 0) {
+    idle.push_back(buffer_pool::take(buffer_pool::kFloorBytes));
+    idle.back().assign(idle.back().capacity(), '#');
+  }
+  for (size_t i = 0; i + 1 < kCalls; ++i) {
+    ASSERT_TRUE(first[i].ok()) << i;
+    EXPECT_EQ(first[i].value(), first_calls[i].params[0].second) << i;
+    ASSERT_TRUE(last[i].ok()) << i;
+    EXPECT_EQ(last[i].value(), last_calls[i].params[0].second) << i;
+  }
+  EXPECT_EQ(first.back().value().as_string(), kept);
+  EXPECT_EQ(last.back().value().as_string(), kept);
 }
 
 }  // namespace

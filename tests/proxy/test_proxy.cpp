@@ -616,7 +616,8 @@ TEST_F(ProxyTest, HealthzAndMetricsSurfaceProxyState) {
   for (const char* name :
        {"spi_proxy_requests_total", "spi_proxy_scattered_subpacks_total",
         "spi_proxy_fanout_width", "spi_proxy_backend_subpacks_total",
-        "spi_breaker_state"}) {
+        "spi_breaker_state", "spi_buffer_pool_reused_total",
+        "spi_buffer_pool_idle_bytes"}) {
     EXPECT_NE(metrics.body.find(name), std::string::npos) << name;
   }
 }
