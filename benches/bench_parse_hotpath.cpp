@@ -105,7 +105,7 @@ void BM_AssembleRequest(benchmark::State& state) {
                                       100, /*seed=*/14);
   core::Assembler assembler;
   for (auto _ : state) {
-    std::string envelope = assembler.assemble_request(calls);
+    std::string envelope = assembler.assemble_request(calls).flatten();
     benchmark::DoNotOptimize(envelope);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -55,8 +55,8 @@ const codec::CodecRegistry& SpiClient::codec_registry() const {
   return options_.codecs ? *options_.codecs : codec::CodecRegistry::builtin();
 }
 
-Result<std::string> SpiClient::encode_request(std::string envelope,
-                                              http::Headers& headers) {
+Result<Gathered> SpiClient::encode_request(Gathered envelope,
+                                           http::Headers& headers) {
   if (!options_.accept_codecs.empty()) {
     std::string accept;
     for (const std::string& name : options_.accept_codecs) {
@@ -73,10 +73,10 @@ Result<std::string> SpiClient::encode_request(std::string envelope,
     return Error(ErrorCode::kInvalidArgument,
                  "unknown request codec: " + options_.request_codec);
   }
-  auto encoded = codec->encode(envelope);
+  auto encoded = codec->encode(std::move(envelope).flatten());
   if (!encoded.ok()) return encoded.wrap_error("encode request");
   headers.set("Content-Encoding", std::string(codec->name()));
-  return encoded;
+  return Gathered(std::move(encoded).value());
 }
 
 Result<const codec::WireCodec*> SpiClient::response_codec(
@@ -229,20 +229,21 @@ Result<SpiClient::Outcomes<Call>> SpiClient::attempt_exchange(
 
   http::Headers headers;
   headers.set("SOAPAction", "\"\"");
-  std::string body;
+  Gathered body;
   {
     // The assemble charge is captured and replayed at the ENCODED size:
     // the modeled stack copies wire bytes through its handlers, and with a
     // codec in play the wire carries the compressed form.
     PackCostDeferral deferral;
-    std::string envelope = assembler_.assemble_request(calls, mode);
-    auto encoded = encode_request(std::move(envelope), headers);
+    auto encoded = encode_request(
+        Gathered(assembler_.assemble_request(calls, mode)), headers);
     if (!encoded.ok()) return encoded.wrap_error("spi exchange");
     body = std::move(encoded).value();
     deferral.replay(body.size());
   }
-  auto response =
-      http.post(options_.target, std::move(body), "text/xml", &headers);
+  // The blocking driver sends one flat string: the splices' one copy.
+  auto response = http.post(options_.target, std::move(body).flatten(),
+                            "text/xml", &headers);
   if (!response.ok()) {
     // The breaker tracks transport-level health: a failed post means the
     // endpoint did not answer this connection.
@@ -475,10 +476,10 @@ Result<std::vector<CallOutcome>> SpiClient::execute_plan(
   std::string body;
   {
     PackCostDeferral deferral;
-    std::string envelope = assembler_.assemble_plan(plan);
-    auto encoded = encode_request(std::move(envelope), headers);
+    auto encoded =
+        encode_request(Gathered(assembler_.assemble_plan(plan)), headers);
     if (!encoded.ok()) return encoded.wrap_error("spi plan");
-    body = std::move(encoded).value();
+    body = std::move(encoded).value().flatten();
     deferral.replay(body.size());
   }
   auto response =

@@ -381,9 +381,9 @@ class SpiClient {
 
   /// Applies options_.request_codec to an assembled envelope and sets the
   /// Content-Encoding / Accept-Encoding request headers. Identity with no
-  /// accept list leaves both the body and the headers untouched.
-  Result<std::string> encode_request(std::string envelope,
-                                     http::Headers& headers);
+  /// accept list leaves both the body, splices included, and the headers
+  /// untouched; a codec encodes the flattened envelope.
+  Result<Gathered> encode_request(Gathered envelope, http::Headers& headers);
 
   /// The codec a response's Content-Encoding names (absent: identity;
   /// unknown: kProtocolError).

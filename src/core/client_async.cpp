@@ -61,7 +61,8 @@ struct SpiClient::AsyncExchange
   PackMode round_mode = PackMode::kPacked;
   bool round_idempotent = false;
   // Only a round that may hedge keeps a copy of its request, for the
-  // hedge leg to resend verbatim; the primary leg gets the original.
+  // hedge leg to resend verbatim; the primary leg gets the original. The
+  // copy shares the spliced payload strings and copies only the framing.
   http::Request hedge_request;
   Duration round_timeout = kNoTimeout;
   Duration round_retry_after = Duration::zero();
@@ -157,16 +158,16 @@ struct SpiClient::AsyncExchange
       telemetry::TraceScope trace_scope(trace);
 
       PackCostDeferral deferral;
-      std::string envelope =
-          client->assembler_.assemble_request(round_calls, round_mode);
-      auto encoded =
-          client->encode_request(std::move(envelope), request.headers);
+      auto encoded = client->encode_request(
+          Gathered(client->assembler_.assemble_request(round_calls,
+                                                       round_mode)),
+          request.headers);
       if (!encoded.ok()) {
         round_failed(encoded.wrap_error("spi exchange"));
         return;
       }
-      request.body = std::move(encoded).value();
-      deferral.replay(request.body.size());
+      request.set_body(std::move(encoded).value());
+      deferral.replay(request.body_size());
     }
 
     // One wheel timer bounds the whole attempt: the blocking path's

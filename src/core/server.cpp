@@ -29,12 +29,6 @@ SpiServer::SpiServer(net::Transport& transport, net::Endpoint at,
   dispatcher_.set_limits(options_.parse_limits, options_.envelope_limits);
   codecs_ =
       options_.codecs ? options_.codecs : &codec::CodecRegistry::builtin();
-  if (options_.response_cache_capacity > 0) {
-    codec::EncodedResponseCache::Options cache_options;
-    cache_options.capacity = options_.response_cache_capacity;
-    response_cache_ =
-        std::make_unique<codec::EncodedResponseCache>(cache_options);
-  }
   if (options_.adaptive_limit) {
     adaptive_limiter_ =
         std::make_unique<AdaptiveLimiter>(*options_.adaptive_limit);
@@ -332,26 +326,6 @@ void SpiServer::register_instruments(net::Transport& transport) {
                      });
   }
 
-  if (response_cache_) {
-    reg.add_callback("spi_codec_response_cache_hits_total",
-                     "Encoded responses served from the response cache",
-                     telemetry::CallbackKind::kCounter, {},
-                     [this]() -> double {
-                       return static_cast<double>(response_cache_->hits());
-                     });
-    reg.add_callback("spi_codec_response_cache_misses_total",
-                     "Response encodings that ran the codec",
-                     telemetry::CallbackKind::kCounter, {},
-                     [this]() -> double {
-                       return static_cast<double>(response_cache_->misses());
-                     });
-    reg.add_callback("spi_codec_response_cache_entries",
-                     "Encoded responses currently cached",
-                     telemetry::CallbackKind::kGauge, {}, [this]() -> double {
-                       return static_cast<double>(response_cache_->size());
-                     });
-  }
-
   reg.add_callback("spi_net_bytes_sent_total", "Bytes written to the wire",
                    telemetry::CallbackKind::kCounter, {},
                    [&transport]() -> double {
@@ -406,29 +380,21 @@ const codec::WireCodec& SpiServer::negotiate_response_codec(
   return chosen;
 }
 
-std::string SpiServer::encode_response(const codec::WireCodec& codec,
-                                       std::string plain,
-                                       std::string* applied) {
+Gathered SpiServer::encode_response(const codec::WireCodec& codec,
+                                    Gathered plain, std::string* applied) {
   applied->clear();
   if (codec.name() == "identity") return plain;
-  std::optional<std::string> encoded;
-  if (response_cache_) encoded = response_cache_->get(codec.name(), plain);
-  if (!encoded) {
-    auto result = codec.encode(plain);
-    // Encode failure falls back to identity text: compression is an
-    // optimization, never a reason to fault a message that executed.
-    if (!result.ok()) return plain;
-    encoded = std::move(result).value();
-    if (response_cache_) {
-      response_cache_->put(codec.name(), plain, *encoded);
-    }
-  }
+  std::string text = std::move(plain).flatten();
+  auto encoded = codec.encode(text);
+  // Encode failure falls back to identity text: compression is an
+  // optimization, never a reason to fault a message that executed.
+  if (!encoded.ok()) return Gathered(std::move(text));
   *applied = std::string(codec.name());
   if (auto found = codec_encoded_bytes_.find(codec.name());
       found != codec_encoded_bytes_.end()) {
-    found->second->inc(encoded->size());
+    found->second->inc(encoded.value().size());
   }
-  return std::move(*encoded);
+  return Gathered(std::move(encoded).value());
 }
 
 bool SpiServer::admission_saturated() const {
@@ -714,11 +680,12 @@ http::Response SpiServer::handle(http::Request&& request) {
   const ServiceCall& single_call = parsed.value().calls.empty()
                                        ? kNoCall
                                        : parsed.value().calls.front().call;
-  std::string body;
+  Gathered body;
   std::string content_encoding;
   {
     // Capture the assemble charge and replay it at the size that actually
-    // crosses the wire (the encoded body when a codec was negotiated).
+    // crosses the wire (the encoded body when a codec was negotiated; the
+    // spliced strings count, since they cross it too).
     PackCostDeferral deferral;
     body = encode_response(
         response_codec,

@@ -26,7 +26,6 @@
 #include <memory>
 
 #include "codec/registry.hpp"
-#include "codec/response_cache.hpp"
 #include "concurrency/adaptive_limiter.hpp"
 #include "core/assembler.hpp"
 #include "core/handlers.hpp"
@@ -127,11 +126,6 @@ struct ServerOptions {
   /// bound from http_limits.max_body_bytes (an encoded body may not
   /// expand past what an identity body could have carried).
   size_t max_decoded_body_bytes = 0;
-
-  /// Entries in the per-codec encoded-response cache (0 = off). Keyed on
-  /// (codec, exact response text); a hit serves memoized wire bytes and
-  /// skips the encoder (codec/response_cache.hpp).
-  size_t response_cache_capacity = 0;
 };
 
 class SpiServer {
@@ -198,11 +192,12 @@ class SpiServer {
   /// fallback.
   const codec::WireCodec& negotiate_response_codec(
       const http::Request& request);
-  /// Encodes an assembled response body with `codec` (through the response
-  /// cache when enabled). Returns the plain text unchanged — and leaves
-  /// *applied empty — for identity or on encode failure.
-  std::string encode_response(const codec::WireCodec& codec,
-                              std::string plain, std::string* applied);
+  /// Encodes an assembled response body with `codec`, flattening its
+  /// splices first. Returns the envelope unchanged, splices included, and
+  /// leaves *applied empty for identity; returns it flattened, *applied
+  /// empty, on encode failure.
+  Gathered encode_response(const codec::WireCodec& codec, Gathered plain,
+                           std::string* applied);
 
   const ServiceRegistry& registry_;
   ServerOptions options_;
@@ -223,7 +218,6 @@ class SpiServer {
   telemetry::Counter* shed_adaptive_ = nullptr;
   std::map<std::string, telemetry::Counter*, std::less<>> limit_counters_;
   const codec::CodecRegistry* codecs_ = nullptr;  // never null after ctor
-  std::unique_ptr<codec::EncodedResponseCache> response_cache_;
   telemetry::Counter* codec_fallbacks_ = nullptr;  // registry-owned
   std::map<std::string, telemetry::Counter*, std::less<>> codec_negotiations_;
   std::map<std::string, telemetry::Counter*, std::less<>> codec_encoded_bytes_;

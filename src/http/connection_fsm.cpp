@@ -44,6 +44,12 @@ void ConnectionFsm::on_bytes(std::string_view bytes, TimePoint now) {
   process(now);
 }
 
+void ConnectionFsm::on_body_bytes(size_t n, TimePoint now) {
+  if (state_ == ConnectionState::kClosed || n == 0) return;
+  parser_.commit_body(n);
+  process(now);
+}
+
 void ConnectionFsm::process(TimePoint now) {
   while (state_ != ConnectionState::kClosed) {
     // A request executing or a response flushing blocks further parsing
@@ -162,16 +168,12 @@ void ConnectionFsm::on_response(Response response, bool handler_failed,
   host_.send_bytes(serialize_segments(std::move(response)), !keep);
 }
 
-std::vector<std::string> ConnectionFsm::serialize_segments(
+std::vector<SharedBytes> ConnectionFsm::serialize_segments(
     Response response) {
-  // Head and body stay separate segments; the body — the Assembler's
-  // packed envelope for SPI responses — is moved, so the only memcpy left
-  // on the vectored wire path is the kernel's.
-  std::vector<std::string> segments;
-  segments.reserve(2);
-  segments.push_back(response.serialize_head());
-  if (!response.body.empty()) segments.push_back(std::move(response.body));
-  return segments;
+  // The head, the body's framing and its splices stay separate segments;
+  // none is copied, so the only memcpy left on the vectored wire path is
+  // the kernel's.
+  return response.take_wire_pieces();
 }
 
 void ConnectionFsm::on_send_complete(TimePoint now) {

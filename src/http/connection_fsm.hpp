@@ -73,12 +73,14 @@ class ConnectionFsm {
    public:
     virtual ~Host() = default;
 
-    /// Queue one serialized response as ordered wire segments (head, then
-    /// body — the body segment is moved from the Response, never copied).
-    /// Vectored drivers gather them straight to the socket as iovecs;
-    /// others may coalesce. The driver calls on_send_complete() once every
-    /// byte of every segment has reached the transport.
-    virtual void send_bytes(std::vector<std::string> segments,
+    /// Queue one serialized response as ordered wire segments
+    /// (Response::take_wire_pieces: the head, then the body's framing and
+    /// splices, none of them copied). Each segment's owner keeps its bytes
+    /// alive until the driver drops the segment, once written. Vectored
+    /// drivers gather them straight to the socket as iovecs; others may
+    /// coalesce. The driver calls on_send_complete() once every byte of
+    /// every segment has reached the transport.
+    virtual void send_bytes(std::vector<SharedBytes> segments,
                             bool close_after) = 0;
 
     /// Run the handler for a parsed request; the driver answers with
@@ -103,6 +105,11 @@ class ConnectionFsm {
   // --- events (driver -> FSM) ------------------------------------------
   void on_open(TimePoint now);
   void on_bytes(std::string_view bytes, TimePoint now);
+  /// Where a receive may write the current request's body directly
+  /// (MessageParser::body_space), empty unless one has begun.
+  std::span<char> body_space() { return parser_.body_space(); }
+  /// `n` bytes were received into body_space().
+  void on_body_bytes(size_t n, TimePoint now);
   void on_peer_closed();
   void on_receive_error();
   /// The armed timer fired. Mid-message → 408 shed; idle → silent close.
@@ -130,8 +137,8 @@ class ConnectionFsm {
   void process(TimePoint now);
   void respond_and_close(int status_code, std::string_view reason,
                          std::string_view body);
-  /// [head, body] wire segments, body moved out of the response.
-  static std::vector<std::string> serialize_segments(Response response);
+  /// The response's wire segments, nothing copied.
+  static std::vector<SharedBytes> serialize_segments(Response response);
   void arm_idle_timer();
   void finish_request_accounting();
 

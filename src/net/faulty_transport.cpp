@@ -79,6 +79,9 @@ class FaultyTransport::FaultyConnection final : public Connection {
   Result<std::string> try_receive(size_t max_bytes) override {
     return inner_->try_receive(max_bytes);
   }
+  Result<size_t> try_receive_into(char* into, size_t max_bytes) override {
+    return inner_->try_receive_into(into, max_bytes);
+  }
 
   Result<size_t> try_send(std::string_view bytes) override {
     if (severed_) {

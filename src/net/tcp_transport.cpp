@@ -151,6 +151,11 @@ class TcpConnection final : public Connection {
                         "no data available");
   }
 
+  Result<size_t> try_receive_into(char* into, size_t max_bytes) override {
+    return receive_into(into, max_bytes, ErrorCode::kWouldBlock,
+                        "no data available");
+  }
+
   bool supports_sendv() const override { return true; }
 
   Result<size_t> try_sendv(const ConstBuffer* segments,
@@ -238,20 +243,28 @@ class TcpConnection final : public Connection {
 
  private:
   /// One recv() into the thread's staging buffer; only the bytes that
-  /// arrived are copied into the returned string. EAGAIN (a receive
-  /// timeout on a blocking socket, no data on a non-blocking one) maps to
-  /// `again_code`.
+  /// arrived are copied into the returned string.
   Result<std::string> receive_some(size_t max_bytes, ErrorCode again_code,
                                    const char* again_message) {
+    char* staging = receive_staging(max_bytes);
+    auto n = receive_into(staging, max_bytes, again_code, again_message);
+    if (!n.ok()) return n.error();
+    return std::string(staging, n.value());
+  }
+
+  /// One recv() into `into`. EAGAIN (a receive timeout on a blocking
+  /// socket, no data on a non-blocking one) maps to `again_code`.
+  Result<size_t> receive_into(char* into, size_t max_bytes,
+                              ErrorCode again_code,
+                              const char* again_message) {
     if (max_bytes == 0) {
       return Error(ErrorCode::kInvalidArgument, "receive(0)");
     }
-    char* staging = receive_staging(max_bytes);
     while (true) {
-      ssize_t n = ::recv(fd_.get(), staging, max_bytes, 0);
+      ssize_t n = ::recv(fd_.get(), into, max_bytes, 0);
       if (n > 0) {
         stats_->on_receive(static_cast<std::uint64_t>(n));
-        return std::string(staging, static_cast<size_t>(n));
+        return static_cast<size_t>(n);
       }
       if (n == 0) {
         return Error(ErrorCode::kConnectionClosed, "peer closed connection");

@@ -888,7 +888,8 @@ http::Response PackingProxy::forward_plan(
   std::string content_encoding;
   std::string body =
       encode_response(response_codec,
-                      assembler_.assemble_response(indexed, kNoCall, true),
+                      assembler_.assemble_response(indexed, kNoCall, true)
+                          .flatten(),
                       &content_encoding);
   http::Response response =
       http::Response::make(200, "OK", std::move(body), "text/xml");

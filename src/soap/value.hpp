@@ -69,6 +69,12 @@ class Value {
   /// A view of the string's bytes, valid while any Value holding them
   /// lives; not NUL-terminated.
   std::string_view as_string() const { return get<Text>("string").view; }
+  /// The owner that keeps as_string()'s bytes alive (null for the empty
+  /// string), for a writer that splices them instead of copying
+  /// (xml::Writer::shared_text).
+  const std::shared_ptr<const std::string>& string_owner() const {
+    return get<Text>("string").owner;
+  }
   const Array& as_array() const { return get<Array>("array"); }
   const Struct& as_struct() const { return get<Struct>("struct"); }
   Array& as_array() { return get_mut<Array>("array"); }

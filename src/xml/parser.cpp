@@ -11,19 +11,6 @@ namespace spi::xml {
 
 namespace {
 bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\n'; }
-
-/// The text a Document adopted. Its destructor runs when the last
-/// reference lets go, the Document's or a decoded Value's, and gives the
-/// buffer back to the pool, so a received body is reused only once
-/// nothing can read it any more.
-struct PooledSource {
-  std::string text;
-
-  explicit PooledSource(std::string input) : text(std::move(input)) {}
-  ~PooledSource() { buffer_pool::give(std::move(text)); }
-  PooledSource(const PooledSource&) = delete;
-  PooledSource& operator=(const PooledSource&) = delete;
-};
 }  // namespace
 
 std::string_view token_type_name(TokenType type) {
@@ -445,12 +432,11 @@ Result<Document> parse_document(std::string input,
                                 const ParseLimits& limits) {
   Document document;
   // Adopt the input: the DOM's views point straight into it, and the
-  // pointer keeps those bytes where they are when the Document moves.
-  // One allocation holds the reference counts and the owner; the source
-  // pointer aliases the owner's text.
-  auto owner = std::make_shared<PooledSource>(std::move(input));
-  const std::string* text = &owner->text;
-  document.source = std::shared_ptr<const std::string>(std::move(owner), text);
+  // pointer keeps those bytes where they are when the Document moves. The
+  // owner gives the buffer back to the pool when the last reference lets
+  // go, the Document's or a decoded Value's, so a received body is reused
+  // only once nothing can read it any more.
+  document.source = buffer_pool::share(std::move(input));
   PullParser parser(*document.source, &document.arena, limits);
 
   // One frame per open element. An element with a single text run keeps

@@ -107,6 +107,15 @@ void append_escaped_text(std::string& out, std::string_view text) {
   append_escaped(out, text, kTextEscapes, kTextEntities);
 }
 
+size_t find_text_escape(std::string_view text) {
+  const char* const begin = text.data();
+  const char* const end = begin + text.size();
+  const char* hit = end;
+  for (const Escape& e : kTextEscapes) hit = find_byte(begin, hit, e.byte);
+  return hit == end ? std::string_view::npos
+                    : static_cast<size_t>(hit - begin);
+}
+
 void append_escaped_attribute(std::string& out, std::string_view value) {
   append_escaped(out, value, kAttributeEscapes, kAttributeEntities);
 }

@@ -16,6 +16,11 @@ namespace spi::xml {
 /// speed; output is appended to `out`.
 void append_escaped_text(std::string& out, std::string_view text);
 
+/// Offset of the first byte append_escaped_text() would replace (&, <, >
+/// or CR), npos when it would copy `text` unchanged. One memchr sweep per
+/// byte, each ending at the previous hit.
+size_t find_text_escape(std::string_view text);
+
 /// Escapes a double-quoted attribute value: & < > " as entities, and
 /// LF, TAB and CR as &#10; &#9; &#13; so attribute-value normalization
 /// (§3.3.3) leaves them intact.

@@ -47,11 +47,11 @@ void register_echo(ServiceRegistry& registry) {
 TEST(AssemblerTest, AutoModePicksFramingBySize) {
   Assembler assembler;
   auto one = echo_calls(1);
-  EXPECT_EQ(assembler.assemble_request(one, PackMode::kAuto)
+  EXPECT_EQ(assembler.assemble_request(one, PackMode::kAuto).flatten()
                 .find("Parallel_Method"),
             std::string::npos);
   auto three = echo_calls(3);
-  EXPECT_NE(assembler.assemble_request(three, PackMode::kAuto)
+  EXPECT_NE(assembler.assemble_request(three, PackMode::kAuto).flatten()
                 .find("Parallel_Method"),
             std::string::npos);
 }
@@ -59,7 +59,7 @@ TEST(AssemblerTest, AutoModePicksFramingBySize) {
 TEST(AssemblerTest, PackedModeForcesParallelMethodAtM1) {
   Assembler assembler;
   auto one = echo_calls(1);
-  EXPECT_NE(assembler.assemble_request(one, PackMode::kPacked)
+  EXPECT_NE(assembler.assemble_request(one, PackMode::kPacked).flatten()
                 .find("Parallel_Method"),
             std::string::npos);
 }
@@ -91,7 +91,8 @@ TEST(AssemblerTest, WsseFactoryAddsSecurityHeader) {
   soap::WsseTokenFactory factory({"u", "p"}, 1);
   Assembler assembler(&factory);
   auto calls = echo_calls(2);
-  std::string envelope = assembler.assemble_request(calls, PackMode::kPacked);
+  std::string envelope =
+      assembler.assemble_request(calls, PackMode::kPacked).flatten();
   EXPECT_NE(envelope.find("wsse:Security"), std::string::npos);
   EXPECT_NE(envelope.find("SOAP-ENV:Header"), std::string::npos);
 }
@@ -138,8 +139,7 @@ TEST(AssemblerTest, PackCostChargedOnlyForPackedEnvelopes) {
 
 // The Assembler writes framing, header blocks and body into one buffer;
 // the result must stay byte-identical to build_envelope() over the
-// separately serialized body. EncodedResponseCache keys on these bytes
-// and PackCostModel charges their size.
+// separately serialized body. PackCostModel charges their size.
 
 /// The envelope's spi:Deadline block, rebuilt from the budget it carries:
 /// only the microsecond value depends on when the Assembler read the
@@ -210,14 +210,18 @@ std::vector<IndexedOutcome> framing_outcomes() {
 TEST(AssemblerFramingTest, PackedRequestMatchesBuildEnvelope) {
   const auto calls = framing_calls(3);
   expect_framing_with_headers(
-      [&](Assembler& a) { return a.assemble_request(calls, PackMode::kPacked); },
+      [&](Assembler& a) {
+        return a.assemble_request(calls, PackMode::kPacked).flatten();
+      },
       wire::serialize_packed_request(calls));
 }
 
 TEST(AssemblerFramingTest, SingleRequestMatchesBuildEnvelope) {
   const auto calls = framing_calls(1);
   expect_framing_with_headers(
-      [&](Assembler& a) { return a.assemble_request(calls, PackMode::kSingle); },
+      [&](Assembler& a) {
+        return a.assemble_request(calls, PackMode::kSingle).flatten();
+      },
       wire::serialize_single_request(calls.front()));
 }
 
@@ -225,7 +229,7 @@ TEST(AssemblerFramingTest, PackedResponseMatchesBuildEnvelope) {
   const auto outcomes = framing_outcomes();
   expect_framing_with_headers(
       [&](Assembler& a) {
-        return a.assemble_response(outcomes, ServiceCall{}, true);
+        return a.assemble_response(outcomes, ServiceCall{}, true).flatten();
       },
       wire::serialize_packed_response(outcomes));
 }
@@ -235,7 +239,9 @@ TEST(AssemblerFramingTest, SingleResponsesMatchBuildEnvelope) {
   for (const IndexedOutcome& outcome : framing_outcomes()) {
     const std::vector<IndexedOutcome> one = {{0, outcome.outcome}};
     expect_framing_with_headers(
-        [&](Assembler& a) { return a.assemble_response(one, call, false); },
+        [&](Assembler& a) {
+          return a.assemble_response(one, call, false).flatten();
+        },
         wire::serialize_single_response(call, outcome.outcome));
   }
 }
@@ -255,10 +261,11 @@ TEST(AssemblerFramingTest, PlanMatchesBuildEnvelope) {
 TEST(AssemblerFramingTest, HeaderlessEnvelopesMatchBuildEnvelope) {
   Assembler assembler;
   const auto calls = framing_calls(4);
-  EXPECT_EQ(assembler.assemble_request(calls, PackMode::kPacked),
+  EXPECT_EQ(assembler.assemble_request(calls, PackMode::kPacked).flatten(),
             soap::build_envelope(wire::serialize_packed_request(calls)));
   const auto outcomes = framing_outcomes();
-  EXPECT_EQ(assembler.assemble_response(outcomes, ServiceCall{}, true),
+  EXPECT_EQ(assembler.assemble_response(outcomes, ServiceCall{}, true)
+      .flatten(),
             soap::build_envelope(wire::serialize_packed_response(outcomes)));
 }
 
@@ -275,7 +282,7 @@ TEST(DispatcherTest, ParseRequestRoundTripsAssemblerOutput) {
   Dispatcher dispatcher;
   auto calls = echo_calls(3);
   auto parsed = dispatcher.parse_request(
-      assembler.assemble_request(calls, PackMode::kPacked));
+      assembler.assemble_request(calls, PackMode::kPacked).flatten());
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().packed);
   EXPECT_EQ(parsed.value().calls.size(), 3u);
@@ -301,7 +308,8 @@ TEST(DispatcherTest, DeflateCodedBodiesRoundTripThroughAdoptingParse) {
   auto calls = echo_calls(5);
 
   auto request_wire =
-      deflate.encode(assembler.assemble_request(calls, PackMode::kPacked));
+      deflate.encode(assembler.assemble_request(calls, PackMode::kPacked)
+          .flatten());
   ASSERT_TRUE(request_wire.ok());
   auto request_text = deflate.decode(request_wire.value(), 1u << 20);
   ASSERT_TRUE(request_text.ok()) << request_text.error().to_string();
@@ -311,7 +319,8 @@ TEST(DispatcherTest, DeflateCodedBodiesRoundTripThroughAdoptingParse) {
 
   auto outcomes = server_side.execute(request.value(), registry, nullptr);
   auto response_wire = deflate.encode(assembler.assemble_response(
-      outcomes, request.value().calls.front().call, request.value().packed));
+      outcomes, request.value().calls.front().call, request.value().packed)
+          .flatten());
   ASSERT_TRUE(response_wire.ok());
   auto response_text = deflate.decode(response_wire.value(), 1u << 20);
   ASSERT_TRUE(response_text.ok()) << response_text.error().to_string();
@@ -333,7 +342,7 @@ TEST(DispatcherTest, ExecuteInlineWithoutPool) {
   Assembler assembler;
   auto calls = echo_calls(4);
   auto parsed = dispatcher.parse_request(
-      assembler.assemble_request(calls, PackMode::kPacked));
+      assembler.assemble_request(calls, PackMode::kPacked).flatten());
   ASSERT_TRUE(parsed.ok());
 
   auto outcomes = dispatcher.execute(parsed.value(), registry, nullptr);
@@ -408,14 +417,14 @@ TEST(DispatcherTest, WsseVerifierEnforced) {
   Assembler bare_assembler;
   auto calls = echo_calls(1);
   auto rejected = dispatcher.parse_request(
-      bare_assembler.assemble_request(calls, PackMode::kPacked));
+      bare_assembler.assemble_request(calls, PackMode::kPacked).flatten());
   ASSERT_FALSE(rejected.ok());
   EXPECT_NE(rejected.error().message().find("Security"), std::string::npos);
 
   soap::WsseTokenFactory factory({"u", "p"}, 3);
   Assembler secured_assembler(&factory);
   auto accepted = dispatcher.parse_request(
-      secured_assembler.assemble_request(calls, PackMode::kPacked));
+      secured_assembler.assemble_request(calls, PackMode::kPacked).flatten());
   EXPECT_TRUE(accepted.ok()) << accepted.error().to_string();
 }
 

@@ -29,6 +29,14 @@ using core::CallOutcome;
 using core::ServiceCall;
 using soap::Value;
 
+/// `prefix` followed by `n`, built by append ("s" + std::to_string(n) reads
+/// as an overlapping copy to gcc 12's -Wrestrict).
+std::string tagged(std::string_view prefix, int n) {
+  std::string text(prefix);
+  text += std::to_string(n);
+  return text;
+}
+
 class AsyncSpiClientTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -205,13 +213,13 @@ TEST_F(AsyncSpiClientTest, AutoBatcherFlushesThroughAsyncPathWithoutPoolThread) 
   std::vector<std::future<CallOutcome>> futures;
   for (int i = 0; i < 24; ++i) {
     futures.push_back(batcher.call_async(
-        "EchoService", "Echo", {{"data", Value("b" + std::to_string(i))}}));
+        "EchoService", "Echo", {{"data", Value(tagged("b", i))}}));
   }
   batcher.flush();
   for (int i = 0; i < 24; ++i) {
     auto outcome = futures[i].get();
     ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
-    EXPECT_EQ(outcome.value().as_string(), "b" + std::to_string(i));
+    EXPECT_EQ(outcome.value().as_string(), tagged("b", i));
   }
   auto stats = batcher.stats();
   EXPECT_EQ(stats.calls, 24u);
@@ -376,13 +384,12 @@ TEST_F(AsyncSpiClientTest, ChaosSeverDuringHedgedExchangesAllRecover) {
   for (int i = 0; i < 60; ++i) {
     std::vector<ServiceCall> calls;
     calls.push_back(core::make_call("EchoService", "Echo",
-                                    {{"data", Value("c" + std::to_string(i))}}));
+                                    {{"data", Value(tagged("c", i))}}));
     calls.push_back(core::make_call("TailService", "Get", {}));
     auto result = client.execute_packed_future(std::move(calls)).get();
     if (result.ok()) {
       ASSERT_EQ(result.value().size(), 2u);
-      EXPECT_EQ(result.value()[0].value().as_string(),
-                "c" + std::to_string(i));
+      EXPECT_EQ(result.value()[0].value().as_string(), tagged("c", i));
       ++ok;
     }
   }

@@ -191,7 +191,8 @@ TEST_F(OverloadTest, AdmissionShedCarries503AndRetryAfter) {
   Assembler assembler;
   std::vector<ServiceCall> calls = {
       make_call("EchoService", "Echo", {{"data", Value("probe")}})};
-  std::string envelope = assembler.assemble_request(calls, PackMode::kSingle);
+  std::string envelope =
+      assembler.assemble_request(calls, PackMode::kSingle).flatten();
   http::HttpClient http(transport_, server.endpoint());
   auto response = http.post("/spi", std::move(envelope), "text/xml");
   ASSERT_TRUE(response.ok()) << response.error().to_string();

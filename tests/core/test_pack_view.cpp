@@ -130,17 +130,18 @@ TEST(PackViewTest, AssemblerEnvelopesMatchDom) {
   for (size_t m : {1u, 2u, 7u, 32u}) {
     auto calls = keyed_calls(m);
     EXPECT_TRUE(expect_request_view_matches_dom(
-        assembler.assemble_request(calls, PackMode::kPacked)));
+        assembler.assemble_request(calls, PackMode::kPacked).flatten()));
     EXPECT_TRUE(expect_request_view_matches_dom(
-        assembler.assemble_request(calls, PackMode::kPacked), ""));
+        assembler.assemble_request(calls, PackMode::kPacked).flatten(), ""));
     EXPECT_TRUE(expect_request_view_matches_dom(
         assembler.assemble_request(std::span(calls).first(1),
-                                   PackMode::kSingle)));
+                                   PackMode::kSingle).flatten()));
   }
   telemetry::TraceContext trace = telemetry::TraceContext::generate();
   telemetry::TraceScope scope(trace);
   auto view = view_request(
-      assembler.assemble_request(keyed_calls(3), PackMode::kPacked), {}, {},
+      assembler.assemble_request(keyed_calls(3), PackMode::kPacked)
+          .flatten(), {}, {},
       "key");
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view.value().trace, trace);
@@ -314,11 +315,12 @@ TEST(PackViewTest, RepliesMatchDom) {
   };
   static const ServiceCall kOp = make_call("S", "Op");
   EXPECT_TRUE(expect_reply_view_matches_dom(
-      assembler.assemble_response(outcomes, kOp, true)));
+      assembler.assemble_response(outcomes, kOp, true).flatten()));
   EXPECT_TRUE(expect_reply_view_matches_dom(
-      assembler.assemble_response(std::span(outcomes).first(1), kOp, false)));
+      assembler.assemble_response(std::span(outcomes).first(1), kOp, false)
+          .flatten()));
   EXPECT_TRUE(expect_reply_view_matches_dom(assembler.assemble_response(
-      std::span(outcomes).subspan(1, 1), kOp, false)));
+      std::span(outcomes).subspan(1, 1), kOp, false).flatten()));
 
   const std::string head = "<E:Envelope xmlns:E=\"urn:e\"><E:Body>";
   const std::string tail = "</E:Body></E:Envelope>";
@@ -358,18 +360,21 @@ TEST(PackViewTest, MutationSweepMatchesDom) {
     resilience::Deadline deadline =
         resilience::Deadline::after(std::chrono::seconds(5));
     resilience::DeadlineScope deadline_scope(deadline);
-    seeds.push_back(assembler.assemble_request(keyed_calls(3), PackMode::kPacked));
+    seeds.push_back(
+        assembler.assemble_request(keyed_calls(3), PackMode::kPacked)
+            .flatten());
   }
   seeds.push_back(
-      assembler.assemble_request(keyed_calls(1), PackMode::kSingle));
+      assembler.assemble_request(keyed_calls(1), PackMode::kSingle).flatten());
   std::vector<std::string> replies;
   static const ServiceCall kOp = make_call("S", "Op");
   std::vector<IndexedOutcome> outcomes = {
       {0, CallOutcome(Value("v&"))},
       {1, CallOutcome(Error(ErrorCode::kNotFound, "no such op"))}};
-  replies.push_back(assembler.assemble_response(outcomes, kOp, true));
+  replies.push_back(assembler.assemble_response(outcomes, kOp, true).flatten());
   replies.push_back(
-      assembler.assemble_response(std::span(outcomes).first(1), kOp, false));
+      assembler.assemble_response(std::span(outcomes).first(1), kOp, false)
+          .flatten());
 
   static constexpr char kBytes[] = "<>/&;\"'=: ax1-#!?[]";
   SplitMix64 rng(0xB17E);

@@ -118,7 +118,9 @@ TEST(RequestCacheTest, PropertyRandomStringCallsAlwaysByteIdentical) {
     soap::Struct params;
     size_t n = 1 + rng.next_below(3);
     for (size_t p = 0; p < n; ++p) {
-      params.emplace_back("p" + std::to_string(p),
+      std::string name = "p";
+      name += std::to_string(p);
+      params.emplace_back(std::move(name),
                           Value(rng.ascii_string(rng.next_below(64))));
     }
     ServiceCall call =

@@ -84,7 +84,8 @@ TEST_F(ServerFeaturesTest, ChunkedRequestsServeNormally) {
   Assembler assembler;
   std::vector<ServiceCall> calls = {make_call(
       "EchoService", "Echo", {{"data", Value(std::string(500, 'c'))}})};
-  std::string envelope = assembler.assemble_request(calls, PackMode::kSingle);
+  std::string envelope =
+      assembler.assemble_request(calls, PackMode::kSingle).flatten();
   auto response = http.post("/spi", std::move(envelope), "text/xml");
   ASSERT_TRUE(response.ok()) << response.error().to_string();
   EXPECT_EQ(response.value().status, 200);

@@ -51,8 +51,10 @@ TEST(SpiStressTest, MixedStrategiesUnderConcurrency) {
           int style = (t + round) % 4;
           switch (style) {
             case 0: {  // single call
-              std::string payload =
-                  "t" + std::to_string(t) + "r" + std::to_string(round);
+              std::string payload = "t";
+              payload += std::to_string(t);
+              payload += 'r';
+              payload += std::to_string(round);
               auto outcome = client.call("EchoService", "Echo",
                                          {{"data", Value(payload)}});
               ++calls_made;

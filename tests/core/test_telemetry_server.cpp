@@ -357,7 +357,7 @@ TEST_F(TelemetryServerTest, ResponseEnvelopeEchoesTheRequestTrace) {
   std::string envelope;
   {
     telemetry::TraceScope scope(trace);
-    envelope = assembler.assemble_request(calls, PackMode::kPacked);
+    envelope = assembler.assemble_request(calls, PackMode::kPacked).flatten();
   }
   EXPECT_NE(envelope.find("<spi:TraceId>" + trace.trace_id),
             std::string::npos);

@@ -56,7 +56,8 @@ TEST(ValueSharingTest, RequestStringsOutliveEnvelopeAndBody) {
   core::Assembler assembler;
   core::Dispatcher dispatcher;
   // The Document adopts the body, and the Envelope dies inside the parse.
-  std::string body = assembler.assemble_request(calls, core::PackMode::kPacked);
+  std::string body =
+      assembler.assemble_request(calls, core::PackMode::kPacked).flatten();
   auto parsed = dispatcher.parse_request(std::move(body));
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   ASSERT_EQ(parsed.value().calls.size(), calls.size());
@@ -79,7 +80,7 @@ TEST(ValueSharingTest, ResponseStringsOutliveEnvelopeAndBody) {
   }
   core::Assembler assembler;
   core::Dispatcher dispatcher;
-  std::string body = assembler.assemble_response(outcomes, {}, true);
+  std::string body = assembler.assemble_response(outcomes, {}, true).flatten();
   auto parsed = dispatcher.parse_response(std::move(body));
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   auto routed = dispatcher.route(std::move(parsed).value(), outcomes.size());
@@ -151,7 +152,7 @@ TEST(ValueSharingTest, BxmlDocumentStringsAreOwned) {
   const std::vector<ServiceCall> calls = echo_calls(3, 2048);
   core::Assembler assembler;
   const std::string text =
-      assembler.assemble_request(calls, core::PackMode::kPacked);
+      assembler.assemble_request(calls, core::PackMode::kPacked).flatten();
   codec::BxmlCodec bxml;
   auto wire = bxml.encode(text);
   ASSERT_TRUE(wire.ok()) << wire.error().to_string();

@@ -2,8 +2,9 @@
 // connect through completion, pipelined in-order response matching on ONE
 // pooled connection, wheel-timer attempt expiry against a peer that never
 // answers, and cancel/drain returning the loser's connection to the pool.
-// Plus the wire form of the two-segment send (head + moved body): exact
-// bytes, resumption after short writes, and the unwritten-tail prune.
+// Plus the wire form of the segmented send (the head, then the body's
+// framing and spliced strings): exact bytes, resumption after short
+// writes, and the unwritten-tail prune.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -205,7 +206,7 @@ TEST_F(AsyncClientTest, CancelDrainsStaleResponseAndReturnsConnectionToPool) {
   EXPECT_GE(stats.reused, 1u);
 }
 
-// --- two-segment sends: the bytes on the wire ------------------------------
+// --- segmented sends: the bytes on the wire --------------------------------
 
 /// Client-side transport over TCP whose dials always report pending, so a
 /// task running in the same reactor drain as the send sees the exchange
@@ -452,6 +453,66 @@ TEST_F(AsyncClientWireTest, CancelBeforeDialPrunesBothSegmentsOfTheTail) {
   });
   expect_cancelled(lone);
   expect_cancelled(tail);
+
+  const Request follow_up = post("after");
+  client.send(listener_->endpoint(), follow_up, 5s, nullptr);
+  const std::string expected = first.serialize() + follow_up.serialize();
+  EXPECT_EQ(read_wire(expected.size()), expected);
+}
+
+/// `request` with a body that carries `owners`' strings as splices
+/// (common/gathered.hpp): only the framing between them is in the
+/// request; the strings stay where they are, shared.
+Request with_gathered_body(
+    Request request,
+    const std::vector<std::shared_ptr<const std::string>>& owners) {
+  std::string framing = "<r>";
+  std::vector<Splice> splices;
+  for (const auto& owner : owners) {
+    framing += "<s>";
+    splices.push_back(Splice{framing.size(), SharedBytes{owner, *owner}});
+    framing += "</s>";
+  }
+  framing += "</r>";
+  request.set_body(Gathered(std::move(framing), std::move(splices)));
+  return request;
+}
+
+std::vector<std::shared_ptr<const std::string>> spliced_strings() {
+  std::vector<std::shared_ptr<const std::string>> owners;
+  for (size_t size : {size_t{20000}, size_t{70001}, size_t{33}}) {
+    owners.push_back(std::make_shared<const std::string>(numbered(size)));
+  }
+  return owners;
+}
+
+TEST_F(AsyncClientWireTest, GatheredBodyWireEqualsSerialize) {
+  AsyncHttpClient client(reactor_, tcp_, one_pipelined_connection());
+  const auto owners = spliced_strings();
+  Request request = with_gathered_body(post(""), owners);
+  ASSERT_EQ(request.splices.size(), 3u);
+  const std::string expected = request.serialize() + post("after").serialize();
+  client.send(listener_->endpoint(), std::move(request), 5s, nullptr);
+  client.send(listener_->endpoint(), post("after"), 5s, nullptr);
+  EXPECT_EQ(read_wire(expected.size()), expected);
+}
+
+// A gathered tail cancelled before the dial completes is pruned with all
+// of its segments, and dropping them lets go of the spliced strings.
+TEST_F(AsyncClientWireTest, CancelBeforeDialPrunesEverySegmentOfAGatheredTail) {
+  GatedTransport transport;
+  std::promise<Result<Response>> kept, tail;
+  AsyncHttpClient client(reactor_, transport, one_pipelined_connection());
+  const auto owners = spliced_strings();
+  const Request first = post(numbered(300));
+  reactor_.run_sync([&] {
+    send(client, first, kept);
+    client.cancel(send(client, with_gathered_body(post(""), owners), tail));
+  });
+  expect_cancelled(tail);
+  // The callback fires before the prune finishes: wait for the loop task.
+  reactor_.run_sync([] {});
+  for (const auto& owner : owners) EXPECT_EQ(owner.use_count(), 1);
 
   const Request follow_up = post("after");
   client.send(listener_->endpoint(), follow_up, 5s, nullptr);

@@ -29,11 +29,13 @@ struct FakeHost : ConnectionFsm::Host {
   int cancels = 0;
   int closes = 0;
 
-  void send_bytes(std::vector<std::string> segments,
+  void send_bytes(std::vector<SharedBytes> segments,
                   bool close_after) override {
     Send send;
-    for (const std::string& segment : segments) send.bytes += segment;
-    send.segments = std::move(segments);
+    for (const SharedBytes& segment : segments) {
+      send.bytes += segment.bytes;
+      send.segments.emplace_back(segment.bytes);
+    }
     send.close_after = close_after;
     sends.push_back(std::move(send));
   }

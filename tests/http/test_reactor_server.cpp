@@ -250,7 +250,8 @@ TEST_F(ReactorServerTest, MultipleReactorsShardConnections) {
   for (int i = 0; i < 8; ++i) {
     connections.push_back(connect(*server));
     Request request;
-    request.body = "c" + std::to_string(i);
+    request.body = "c";
+    request.body += std::to_string(i);
     ASSERT_TRUE(connections.back()->send(request.serialize()).ok());
     bodies.push_back("echo:c" + std::to_string(i));
   }

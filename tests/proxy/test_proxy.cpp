@@ -329,7 +329,8 @@ TEST_F(ProxyTest, ExpiredDeadlineIsShedAtTheProxyWithoutBackendTraffic) {
     resilience::DeadlineScope scope(spent);
     core::Assembler assembler(nullptr, {});
     auto calls = where_calls(4);
-    envelope = assembler.assemble_request(calls, core::PackMode::kPacked);
+    envelope =
+        assembler.assemble_request(calls, core::PackMode::kPacked).flatten();
   }
   http::Response response = raw_post(std::move(envelope));
   EXPECT_EQ(response.status, 504);
@@ -377,7 +378,8 @@ TEST_F(ProxyTest, AllBackendsShedSurfacesTheLargestRetryAfter) {
   core::Assembler assembler(nullptr, {});
   auto calls = where_calls(16);  // enough keys to hit both stubs
   http::Response response =
-      raw_post(assembler.assemble_request(calls, core::PackMode::kPacked));
+      raw_post(assembler.assemble_request(calls, core::PackMode::kPacked)
+          .flatten());
 
   ASSERT_GE(slow_hits.load(), 1) << "test premise: both stubs saw traffic";
   ASSERT_GE(fast_hits.load(), 1) << "test premise: both stubs saw traffic";
@@ -398,7 +400,8 @@ TEST_F(ProxyTest, EmptyFleetShedsWithConfiguredHint) {
   core::Assembler assembler(nullptr, {});
   auto calls = where_calls(2);
   http::Response response =
-      raw_post(assembler.assemble_request(calls, core::PackMode::kPacked));
+      raw_post(assembler.assemble_request(calls, core::PackMode::kPacked)
+          .flatten());
   EXPECT_EQ(response.status, 503);
   auto hint = response.headers.get("Retry-After");
   ASSERT_TRUE(hint.has_value());
@@ -473,7 +476,8 @@ TEST_F(ProxyTest, BxmlRequestDecodesUnderConfiguredParseLimits) {
   core::Assembler assembler(nullptr, {});
   codec::BxmlCodec bxml;
   auto encoded =
-      bxml.encode(assembler.assemble_request(calls, core::PackMode::kPacked));
+      bxml.encode(assembler.assemble_request(calls, core::PackMode::kPacked)
+          .flatten());
   ASSERT_TRUE(encoded.ok()) << encoded.error().to_string();
   std::string body = std::move(encoded).value();
   const std::string defined =

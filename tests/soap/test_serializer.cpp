@@ -140,8 +140,9 @@ Value random_value(SplitMix64& rng, int depth) {
       Struct fields;
       size_t n = rng.next_below(4);
       for (size_t i = 0; i < n; ++i) {
-        fields.emplace_back("f" + std::to_string(i),
-                            random_value(rng, depth - 1));
+        std::string name = "f";
+        name += std::to_string(i);
+        fields.emplace_back(std::move(name), random_value(rng, depth - 1));
       }
       return Value(std::move(fields));
     }

@@ -109,10 +109,13 @@ TEST(DomTest, ToStringReserializes) {
 // test-owned arena that outlives the tree.
 Element random_element(SplitMix64& rng, int depth, MonotonicArena& arena) {
   Element element;
-  element.name = arena.intern("e" + std::to_string(rng.next_below(50)));
+  std::string element_name = "e";
+  element_name += std::to_string(rng.next_below(50));
+  element.name = arena.intern(element_name);
   size_t attrs = rng.next_below(3);
   for (size_t a = 0; a < attrs; ++a) {
-    std::string name = "a" + std::to_string(a);
+    std::string name = "a";
+    name += std::to_string(a);
     element.attributes.push_back(
         Attribute{arena.intern(name),
                   arena.intern(rng.ascii_string(rng.next_below(10)))});

@@ -99,8 +99,8 @@ TEST(ParseLimitsTest, TenThousandAttributesRejectedByDefaults) {
 TEST(ParseLimitsTest, NameBytesBound) {
   ParseLimits limits;
   limits.max_name_bytes = 8;
-  std::string ok = "<" + std::string(8, 'n') + "/>";
-  std::string over = "<" + std::string(9, 'n') + "/>";
+  std::string ok = "<nnnnnnnn/>";     // an 8-byte name
+  std::string over = "<nnnnnnnnn/>";  // a 9-byte name
   EXPECT_TRUE(drain(ok, limits).ok());
   expect_limit_rejection(over, limits, "name-bytes");
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "xml/writer.hpp"
 
 namespace spi::xml {
@@ -138,6 +141,42 @@ TEST(WriterTest, PrettyPrintingIndents) {
   writer.start_element("b").text("x").end_element();
   writer.end_element();
   EXPECT_EQ(writer.take(), "<a>\n  <b>x</b>\n</a>");
+}
+
+// shared_text() leaves a clean string of at least kSpliceFloorBytes where
+// it lies and writes everything else as text() does, so the flattened
+// document is text()'s, byte for byte.
+TEST(WriterTest, SharedTextSplicesOnlyCleanStringsAtTheFloor) {
+  auto owned = [](size_t size, std::string_view special) {
+    std::string text(size, 'v');
+    if (!special.empty()) text.replace(size / 2, special.size(), special);
+    return std::make_shared<const std::string>(std::move(text));
+  };
+  const std::shared_ptr<const std::string> strings[] = {
+      owned(kSpliceFloorBytes - 1, ""), owned(kSpliceFloorBytes, ""),
+      owned(kSpliceFloorBytes, "&"),    owned(kSpliceFloorBytes + 7, "\r"),
+      owned(3 * kSpliceFloorBytes, ""), owned(kSpliceFloorBytes, "<>")};
+  Writer shared;
+  Writer copied;
+  shared.start_element("r");
+  copied.start_element("r");
+  for (const auto& text : strings) {
+    shared.start_element("s").shared_text(*text, text).end_element();
+    copied.start_element("s").text(*text).end_element();
+  }
+  Gathered gathered = shared.take_gathered();
+  ASSERT_EQ(gathered.splices().size(), 2u);
+  EXPECT_EQ(gathered.splices()[0].value.bytes.data(), strings[1]->data());
+  EXPECT_EQ(gathered.splices()[1].value.bytes.data(), strings[4]->data());
+  EXPECT_EQ(gathered.spliced_bytes(), 4 * kSpliceFloorBytes);
+  const std::string expected = copied.take();
+  EXPECT_EQ(gathered.size(), expected.size());
+  EXPECT_EQ(std::move(gathered).flatten(), expected);
+
+  // take() flattens: a Writer used without take_gathered() loses nothing.
+  Writer flat;
+  flat.start_element("s").shared_text(*strings[4], strings[4]).end_element();
+  EXPECT_EQ(flat.take(), "<s>" + *strings[4] + "</s>");
 }
 
 }  // namespace
