@@ -4,10 +4,6 @@
 
 namespace spi::http {
 
-namespace {
-constexpr size_t kReadChunk = 64 * 1024;
-}
-
 HttpClient::HttpClient(net::Transport& transport, net::Endpoint server,
                        ClientOptions options)
     : transport_(transport),
@@ -79,7 +75,7 @@ Result<Response> HttpClient::send(Request request) {
     }
     if (parser.failed()) return parser.error();
 
-    auto bytes = conn->receive(kReadChunk);
+    auto bytes = conn->receive(net::kReceiveChunk);
     if (!bytes.ok()) {
       return bytes.wrap_error("http receive");
     }
