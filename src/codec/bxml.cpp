@@ -394,8 +394,12 @@ Result<xml::Document> BxmlCodec::decode_document(
 }
 
 Result<std::string> BxmlCodec::decode(std::string_view wire,
-                                      size_t max_decoded_bytes) const {
-  return decode_text(wire, max_decoded_bytes, {});
+                                      size_t max_decoded_bytes,
+                                      const xml::ParseLimits& limits) const {
+  Result<xml::Document> document =
+      decode_document(wire, max_decoded_bytes, limits);
+  if (!document.ok()) return document.error();
+  return document.value().to_string();
 }
 
 }  // namespace spi::codec

@@ -10,11 +10,11 @@
 // escaping), which is where the big win over text XML lives for 100 KB
 // payloads.
 //
-// Decoding builds the arena-backed xml::Document directly — the text
-// tokenizer is skipped entirely — while enforcing the same ParseLimits the
-// tokenizer would have applied plus the codec-layer decoded-bytes budget,
-// so a hostile bxml stream cannot claim resources a hostile text document
-// could not.
+// Decoding rebuilds the arena-backed xml::Document while enforcing the
+// same ParseLimits the tokenizer applies plus the codec-layer decoded-bytes
+// budget, so a hostile bxml stream cannot claim resources a hostile text
+// document could not. decode() re-serializes that document to text, the
+// one form every hop parses (DESIGN.md §14).
 //
 // Framing (all integers are LEB128 varints):
 //   magic "BX1\0"
@@ -40,15 +40,14 @@ class BxmlCodec final : public WireCodec {
   /// Tokenizes the text envelope (no DOM) and emits the opcode stream.
   Result<std::string> encode(std::string_view plain) const override;
 
-  /// Generic text path: decode_document + re-serialize. Interop/debug only;
-  /// the server uses decode_document directly.
-  Result<std::string> decode(std::string_view wire,
-                             size_t max_decoded_bytes) const override;
+  /// decode_document, re-serialized to text.
+  Result<std::string> decode(std::string_view wire, size_t max_decoded_bytes,
+                             const xml::ParseLimits& limits) const override;
 
-  bool decodes_to_document() const override { return true; }
-  Result<xml::Document> decode_document(
-      std::string_view wire, size_t max_decoded_bytes,
-      const xml::ParseLimits& limits) const override;
+  /// The opcode stream straight into a Document, no text in between.
+  Result<xml::Document> decode_document(std::string_view wire,
+                                        size_t max_decoded_bytes,
+                                        const xml::ParseLimits& limits) const;
 };
 
 /// The static name dictionary (exposed for tests and tooling).

@@ -33,8 +33,9 @@ Result<std::string> DeflateCodec::encode(std::string_view plain) const {
   return out;
 }
 
-Result<std::string> DeflateCodec::decode(std::string_view wire,
-                                         size_t max_decoded_bytes) const {
+Result<std::string> DeflateCodec::decode(
+    std::string_view wire, size_t max_decoded_bytes,
+    const xml::ParseLimits& /*limits*/) const {
   z_stream stream{};
   if (inflateInit(&stream) != Z_OK) {
     return Error(ErrorCode::kInternal, "deflate: zlib inflateInit failed");

@@ -15,8 +15,8 @@ class DeflateCodec final : public WireCodec {
  public:
   std::string_view name() const override { return "deflate"; }
   Result<std::string> encode(std::string_view plain) const override;
-  Result<std::string> decode(std::string_view wire,
-                             size_t max_decoded_bytes) const override;
+  Result<std::string> decode(std::string_view wire, size_t max_decoded_bytes,
+                             const xml::ParseLimits& limits) const override;
 };
 
 }  // namespace spi::codec

@@ -48,30 +48,15 @@ class WireCodec {
   /// Encodes a text XML envelope into wire bytes.
   virtual Result<std::string> encode(std::string_view plain) const = 0;
 
-  /// Decodes wire bytes back into text XML. Output beyond
-  /// `max_decoded_bytes` fails with decoded_limit_error before the full
-  /// plaintext is materialized.
+  /// Decodes wire bytes back into text XML, the one form every hop
+  /// parses. Output beyond `max_decoded_bytes` fails with
+  /// decoded_limit_error before the full plaintext is materialized. A
+  /// codec that carries structure (bxml) applies `limits` while it
+  /// rebuilds the document, so a binary framing cannot smuggle one past
+  /// the parser's resource governance; text codecs leave them to the parse.
   virtual Result<std::string> decode(std::string_view wire,
-                                     size_t max_decoded_bytes) const = 0;
-
-  /// True when decode_document() bypasses the text tokenizer (bxml).
-  virtual bool decodes_to_document() const { return false; }
-
-  /// Decodes wire bytes straight into an arena-backed Document. The
-  /// default route is decode() + xml::parse_document; codecs that carry
-  /// structure natively override this and skip text entirely. `limits`
-  /// applies either way — a binary framing must not smuggle documents past
-  /// the parser's resource governance.
-  virtual Result<xml::Document> decode_document(
-      std::string_view wire, size_t max_decoded_bytes,
-      const xml::ParseLimits& limits) const;
-
-  /// Decodes wire bytes into text XML under `limits`: a codec that
-  /// decodes to a document applies them there, so a hop that reads every
-  /// coding as text accepts what the document path would.
-  Result<std::string> decode_text(std::string_view wire,
-                                  size_t max_decoded_bytes,
-                                  const xml::ParseLimits& limits) const;
+                                     size_t max_decoded_bytes,
+                                     const xml::ParseLimits& limits) const = 0;
 };
 
 /// The identity codec: bytes pass through untouched (modulo the decode
@@ -81,8 +66,8 @@ class IdentityCodec final : public WireCodec {
  public:
   std::string_view name() const override { return "identity"; }
   Result<std::string> encode(std::string_view plain) const override;
-  Result<std::string> decode(std::string_view wire,
-                             size_t max_decoded_bytes) const override;
+  Result<std::string> decode(std::string_view wire, size_t max_decoded_bytes,
+                             const xml::ParseLimits& limits) const override;
 };
 
 /// Process-wide identity instance (registries share it).

@@ -1,10 +1,5 @@
 #include "concurrency/reactor.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <condition_variable>
 
@@ -187,18 +182,6 @@ void Reactor::drain_posted() {
 void Reactor::run() {
   loop_thread_id_.store(std::this_thread::get_id(),
                         std::memory_order_release);
-#if defined(__linux__)
-  if (options_.cpu_affinity >= 0) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(options_.cpu_affinity), &set);
-    if (::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set) != 0) {
-      SPI_LOG(kWarn, "reactor")
-          << options_.name << ": could not pin to cpu "
-          << options_.cpu_affinity << "; running unpinned";
-    }
-  }
-#endif
   std::vector<net::PollEvent> events(std::max<size_t>(options_.max_events, 1));
   while (running_.load(std::memory_order_acquire)) {
     iterations_.fetch_add(1, std::memory_order_relaxed);

@@ -36,10 +36,6 @@ class Reactor {
     size_t timer_slots = 512;
     /// Poller events drained per loop iteration.
     size_t max_events = 1024;
-    /// Pin the loop thread to this CPU (-1 = unpinned). Pinning keeps a
-    /// per-core reactor's cache + RSS steering on its core (DESIGN.md
-    /// §13); best-effort — failure logs and runs unpinned.
-    int cpu_affinity = -1;
   };
 
   /// Called on the loop thread with the Readiness bits that fired.

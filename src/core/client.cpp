@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "common/logging.hpp"
+#include "core/ladder.hpp"
 #include "telemetry/trace.hpp"
 
 namespace spi::core {
@@ -94,29 +95,27 @@ Result<const codec::WireCodec*> SpiClient::response_codec(
   return codec;
 }
 
+Result<std::string> SpiClient::reply_text(http::Response& response) const {
+  auto codec = response_codec(response);
+  if (!codec.ok()) return codec.error();
+  if (codec.value()->name() == "identity") return std::move(response.body);
+  auto plain =
+      codec.value()->decode(response.body, options_.http_limits.max_body_bytes,
+                            dispatcher_.parse_limits());
+  if (!plain.ok()) return plain.wrap_error("decode response");
+  return plain;
+}
+
 Result<wire::ParsedResponse> SpiClient::parse_wire_response(
     http::Response response) {
-  auto found = response_codec(response);
-  if (!found.ok()) return found.error();
-  const codec::WireCodec* codec = found.value();
-  if (codec->name() == "identity") {
-    return dispatcher_.parse_response(std::move(response.body));
-  }
-  const size_t budget = options_.http_limits.max_body_bytes;
-  if (codec->decodes_to_document()) {
-    auto document = codec->decode_document(response.body, budget,
-                                           dispatcher_.parse_limits());
-    if (!document.ok()) return document.wrap_error("decode response");
-    return dispatcher_.parse_response_document(std::move(document).value(),
-                                               response.body.size());
-  }
-  auto plain = codec->decode(response.body, budget);
-  if (!plain.ok()) return plain.wrap_error("decode response");
-  // The modeled stack would have handled the compressed wire bytes, not
-  // the expanded text: capture the parse charge and replay it at wire size.
+  const size_t wire_bytes = response.body.size();
+  auto text = reply_text(response);
+  if (!text.ok()) return text.error();
+  // The modeled stack would have handled the coded wire bytes, not the
+  // expanded text: capture the parse charge and replay it at wire size.
   PackCostDeferral deferral;
-  auto parsed = dispatcher_.parse_response(std::move(plain).value());
-  deferral.replay(response.body.size());
+  auto parsed = dispatcher_.parse_response(std::move(text).value());
+  deferral.replay(wire_bytes);
   return parsed;
 }
 
@@ -144,24 +143,11 @@ SpiClient::RelayedResult SpiClient::read_reply(
     http::Response response, std::span<const wire::CallView> calls) {
   const int status = response.status;
   const size_t wire_bytes = response.body.size();
-  // A coded reply is decoded to text here, at the edge, so one view path
-  // serves every codec.
-  auto codec = response_codec(response);
-  if (!codec.ok()) return unparsed_reply(status, codec.error());
+  auto text = reply_text(response);
+  if (!text.ok()) return unparsed_reply(status, text.error());
   RelayedPack pack;
-  if (codec.value()->name() == "identity") {
-    pack.replies.push_back(
-        std::make_unique<const std::string>(std::move(response.body)));
-  } else {
-    auto plain = codec.value()->decode_text(
-        response.body, options_.http_limits.max_body_bytes,
-        dispatcher_.parse_limits());
-    if (!plain.ok()) {
-      return unparsed_reply(status, plain.wrap_error("decode response"));
-    }
-    pack.replies.push_back(
-        std::make_unique<const std::string>(std::move(plain).value()));
-  }
+  pack.replies.push_back(
+      std::make_unique<const std::string>(std::move(text).value()));
   PackCostDeferral deferral;
   auto view = dispatcher_.view_response(*pack.replies.back());
   deferral.replay(wire_bytes);
@@ -172,204 +158,31 @@ SpiClient::RelayedResult SpiClient::read_reply(
   return pack;
 }
 
-void SpiClient::merge_replay(std::vector<CallOutcome>& into,
-                             std::vector<CallOutcome>& replay,
-                             std::span<const size_t> slots) {
-  for (size_t k = 0; k < slots.size(); ++k) {
-    into[slots[k]] = std::move(replay[k]);
-  }
-}
-
-void SpiClient::merge_replay(RelayedPack& into, RelayedPack& replay,
-                             std::span<const size_t> slots) {
-  for (size_t k = 0; k < slots.size(); ++k) {
-    into.outcomes[slots[k]] = std::move(replay.outcomes[k]);
-  }
-  for (auto& body : replay.replies) into.replies.push_back(std::move(body));
-}
-
 template <class Call>
-Result<SpiClient::Outcomes<Call>> SpiClient::attempt_exchange(
-    std::span<const Call> calls, PackMode mode, http::HttpClient& http,
-    const resilience::Deadline& deadline, Duration& retry_after) {
-  retry_after = Duration::zero();
-  TimePoint now = RealClock::instance().now();
-  if (deadline.expired(now)) {
-    return Error(ErrorCode::kDeadlineExceeded,
-                 "client deadline expired before send");
-  }
-
-  resilience::CircuitBreaker* breaker =
-      options_.breakers ? &options_.breakers->for_endpoint(server_) : nullptr;
-  if (breaker) {
-    if (Status allowed = breaker->allow(); !allowed.ok()) {
-      breaker_fast_fails_.fetch_add(1, std::memory_order_relaxed);
-      return allowed.error();
-    }
-  }
-
-  // This attempt may block at most min(configured receive timeout,
-  // remaining deadline budget) on the response read.
-  http.set_receive_timeout(min_timeout(options_.receive_timeout,
-                                       deadline.remaining_or_unbounded(now)));
-
-  // One trace per message: every packed sibling shares the trace-id the
-  // Assembler injects from this scope; the server echoes it back. An
-  // ambient trace (a proxy forwarding someone else's request, a handler
-  // calling downstream) is continued as a child — same trace-id, fresh
-  // parent-id — so one origin request stays one trace across hops. (The
-  // deadline header rides along from the ambient DeadlineScope.)
-  telemetry::TraceContext trace;
-  if (options_.trace_propagation) {
-    const telemetry::TraceContext* ambient = telemetry::current_trace();
-    trace = (ambient && ambient->valid()) ? ambient->child()
-                                          : telemetry::TraceContext::generate();
-  }
-  telemetry::TraceScope trace_scope(trace);
-
-  http::Headers headers;
-  headers.set("SOAPAction", "\"\"");
-  Gathered body;
-  {
-    // The assemble charge is captured and replayed at the ENCODED size:
-    // the modeled stack copies wire bytes through its handlers, and with a
-    // codec in play the wire carries the compressed form.
-    PackCostDeferral deferral;
-    auto encoded = encode_request(
-        Gathered(assembler_.assemble_request(calls, mode)), headers);
-    if (!encoded.ok()) return encoded.wrap_error("spi exchange");
-    body = std::move(encoded).value();
-    deferral.replay(body.size());
-  }
-  // The blocking driver sends one flat string: the splices' one copy.
-  auto response = http.post(options_.target, std::move(body).flatten(),
-                            "text/xml", &headers);
-  if (!response.ok()) {
-    // The breaker tracks transport-level health: a failed post means the
-    // endpoint did not answer this connection.
-    if (breaker) breaker->on_failure();
-    return response.wrap_error("spi exchange");
-  }
-  if (breaker) breaker->on_success();
-
-  // A shedding server attaches Retry-After (decimal seconds) to its 503;
-  // remember it so the retry loops never replay sooner than asked.
-  if (auto hint = response.value().headers.get("Retry-After")) {
-    if (auto floor = resilience::parse_retry_after(*hint)) {
-      retry_after = *floor;
-    }
-  }
-
-  // Parse the envelope regardless of HTTP status: SOAP faults ride on 500
-  // (HTTP binding) and packed per-call faults on 200.
-  return read_reply(std::move(response).value(), calls);
-}
-
-bool SpiClient::sleep_backoff(int retry_number,
-                              const resilience::Deadline& deadline,
-                              Duration floor) {
-  Duration pause = retry_policy_.backoff(retry_number, floor);
-  if (deadline.valid() &&
-      deadline.remaining(RealClock::instance().now()) <= pause) {
-    return false;  // budget cannot cover the sleep, let alone the retry
-  }
-  RealClock::instance().sleep_for(pause);
-  return true;
-}
-
-template <class Call>
-Result<SpiClient::Outcomes<Call>> SpiClient::exchange(
+Result<SpiClient::Outcomes<Call>> SpiClient::drive_blocking(
     std::span<const Call> calls, PackMode mode, http::HttpClient& http,
     Duration* observed_retry_after) {
-  Duration max_retry_after = Duration::zero();
-  auto note_retry_after = [&max_retry_after](Duration hint) {
-    if (hint > max_retry_after) max_retry_after = hint;
-  };
-  // The exchange deadline: an ambient DeadlineScope (nested call, caller
-  // with its own budget) wins; otherwise call_timeout starts one here.
-  resilience::Deadline deadline;
-  if (const resilience::Deadline* ambient = resilience::current_deadline();
-      ambient && ambient->valid()) {
-    deadline = *ambient;
-  } else if (!is_unbounded(options_.call_timeout)) {
-    deadline = resilience::Deadline::after(options_.call_timeout);
-  }
-  resilience::DeadlineScope deadline_scope(deadline);
-
-  retry_policy_.on_call();
-
-  // --- message-level attempts --------------------------------------------
-  // A message-level failure (connect refused, sever, timeout) replays the
-  // WHOLE batch, so the idempotency gate covers every member.
-  int attempts = 1;
-  Duration retry_after = Duration::zero();
-  auto result = attempt_exchange(calls, mode, http, deadline, retry_after);
-  note_retry_after(retry_after);
-  while (!result.ok() &&
-         retry_policy_.should_retry(result.error(), attempts,
-                                    all_idempotent(calls)) &&
-         sleep_backoff(attempts, deadline, retry_after)) {
-    ++attempts;
-    result = attempt_exchange(calls, mode, http, deadline, retry_after);
-    note_retry_after(retry_after);
-  }
-  if (observed_retry_after) *observed_retry_after = max_retry_after;
-  if (!result.ok()) return result;
-
-  // --- partial-batch re-pack ---------------------------------------------
-  // The server answered, but some sub-calls carry retryable faults (shed
-  // on deadline/admission before execution). Re-pack ONLY those calls —
-  // succeeded siblings are never replayed — and merge the replay outcomes
-  // back into their original slots.
-  auto& outcomes = outcomes_of(result.value());
-  const PackMode replay_mode =
-      mode == PackMode::kSingle ? PackMode::kSingle : PackMode::kPacked;
-  std::optional<Error> replay_error;  // message-level failure of a replay
-  while (true) {
-    std::vector<size_t> failed;
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].ok() &&
-          resilience::classify(outcomes[i].error()) !=
-              resilience::FaultClass::kTerminal) {
-        failed.push_back(i);
-      }
-    }
-    if (failed.empty()) break;
-
-    std::vector<Call> subset;
-    subset.reserve(failed.size());
-    for (size_t i : failed) subset.push_back(calls[i]);
-
-    const Error& gate =
-        replay_error ? *replay_error : outcomes[failed.front()].error();
-    if (!retry_policy_.should_retry(gate, attempts,
-                                    all_idempotent<Call>(subset)) ||
-        !sleep_backoff(attempts, deadline, retry_after)) {
-      break;
-    }
-    ++attempts;
-    partial_repacks_.fetch_add(1, std::memory_order_relaxed);
-
-    auto replay = attempt_exchange<Call>(subset, replay_mode, http, deadline,
-                                         retry_after);
-    note_retry_after(retry_after);
-    if (observed_retry_after) *observed_retry_after = max_retry_after;
-    if (!replay.ok()) {
-      // Keep the original per-call faults; the next round gates on this
-      // replay error (e.g. a terminal breaker rejection stops the loop).
-      replay_error = replay.error();
+  using Step = typename Ladder<Call>::Step;
+  Ladder<Call> ladder(*this, calls, mode);
+  Step step = ladder.open_round();
+  while (step != Step::kDone) {
+    if (step == Step::kWait) {
+      RealClock::instance().sleep_for(ladder.pause());
+      step = ladder.open_round();
       continue;
     }
-    replay_error.reset();
-    merge_replay(result.value(), replay.value(), failed);
+    // The blocking driver writes one flat string: the splices' one copy.
+    http.set_receive_timeout(ladder.timeout());
+    step = ladder.settle(http.send(std::move(ladder.request())));
   }
-  return result;
+  if (observed_retry_after) *observed_retry_after = ladder.max_retry_after();
+  return ladder.take_result();
 }
 
 CallOutcome SpiClient::call(const ServiceCall& service_call) {
   std::lock_guard lock(http_mutex_);
-  auto outcomes = exchange(std::span(&service_call, 1), PackMode::kSingle,
-                           http_);
+  auto outcomes = drive_blocking(std::span(&service_call, 1),
+                                 PackMode::kSingle, http_);
   if (!outcomes.ok()) return outcomes.error();
   return std::move(outcomes.value().front());
 }
@@ -386,8 +199,8 @@ std::vector<CallOutcome> SpiClient::call_serial(
   outcomes.reserve(calls.size());
   std::lock_guard lock(http_mutex_);
   for (const ServiceCall& service_call : calls) {
-    auto result = exchange(std::span(&service_call, 1), PackMode::kSingle,
-                           http_);
+    auto result = drive_blocking(std::span(&service_call, 1),
+                                 PackMode::kSingle, http_);
     if (result.ok()) {
       outcomes.push_back(std::move(result.value().front()));
     } else {
@@ -410,8 +223,8 @@ std::vector<CallOutcome> SpiClient::call_multithreaded(
         // threads each opening a socket to the service.
         http::HttpClient http(transport_, server_,
                               make_http_options(options_));
-        auto result = exchange(std::span(&calls[i], 1), PackMode::kSingle,
-                               http);
+        auto result = drive_blocking(std::span(&calls[i], 1),
+                                     PackMode::kSingle, http);
         if (result.ok()) {
           slots[i] = std::move(result.value().front());
         } else {
@@ -443,7 +256,7 @@ Result<std::vector<CallOutcome>> SpiClient::execute_packed(
   }
   // A packed transfer is one message on one fresh connection.
   http::HttpClient http(transport_, server_, make_http_options(options_));
-  return exchange(calls, mode, http);
+  return drive_blocking(calls, mode, http);
 }
 
 SpiClient::RelayedResult SpiClient::execute_packed_on(
@@ -452,7 +265,7 @@ SpiClient::RelayedResult SpiClient::execute_packed_on(
   if (calls.empty()) {
     return Error(ErrorCode::kInvalidArgument, "empty call batch");
   }
-  return exchange(calls, mode, http, retry_after);
+  return drive_blocking(calls, mode, http, retry_after);
 }
 
 Result<std::vector<CallOutcome>> SpiClient::execute_plan(

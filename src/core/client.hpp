@@ -294,8 +294,8 @@ class SpiClient {
 
  private:
   /// What one exchange of a batch of `Call`s yields: decoded outcomes for
-  /// ServiceCall batches, relayed ones for CallView batches. The ladders
-  /// below are written once over both.
+  /// ServiceCall batches, relayed ones for CallView batches. The ladder
+  /// is written once over both.
   template <class Call>
   using Outcomes = std::conditional_t<std::is_same_v<Call, ServiceCall>,
                                       std::vector<CallOutcome>, RelayedPack>;
@@ -303,8 +303,12 @@ class SpiClient {
   using Completion =
       std::function<void(Result<Outcomes<Call>>, Duration observed_retry_after)>;
 
-  /// The async exchange state machine (client_async.cpp): lives on the
-  /// reactor loop thread from start() to completion.
+  /// The retry/re-pack ladder of one exchange, without I/O (ladder.hpp).
+  template <class Call>
+  class Ladder;
+
+  /// The async driver of a ladder (client_async.cpp): lives on the
+  /// reactor loop thread from start() to completion, and adds hedging.
   template <class Call>
   struct AsyncExchange;
 
@@ -313,28 +317,13 @@ class SpiClient {
   void start_async(std::vector<Call> calls, PackMode mode,
                    Completion<Call> done);
 
-  /// Resilient HTTP exchange: deadline installation, breaker gating,
-  /// message-level retry with jittered backoff, and partial-batch re-pack
-  /// of failed retryable sub-calls. Delegates single attempts to
-  /// attempt_exchange().
-  /// `observed_retry_after`, when non-null, receives the maximum
-  /// Retry-After hint seen across every attempt of the exchange.
+  /// The blocking driver of a ladder: each round goes out on `http`, and
+  /// each backoff sleeps on the calling thread. `observed_retry_after`,
+  /// when non-null, receives the largest Retry-After any round carried.
   template <class Call>
-  Result<Outcomes<Call>> exchange(std::span<const Call> calls, PackMode mode,
-                                  http::HttpClient& http,
-                                  Duration* observed_retry_after = nullptr);
-
-  /// One HTTP exchange attempt: assembled envelope out, parsed outcomes
-  /// back. Gated by the endpoint breaker; receive timeout clamped to the
-  /// remaining deadline budget. `retry_after` reports the server's
-  /// Retry-After hint from this attempt's response (zero when absent):
-  /// a 503 shed's backoff floor for the next replay.
-  template <class Call>
-  Result<Outcomes<Call>> attempt_exchange(std::span<const Call> calls,
-                                          PackMode mode,
-                                          http::HttpClient& http,
-                                          const resilience::Deadline& deadline,
-                                          Duration& retry_after);
+  Result<Outcomes<Call>> drive_blocking(
+      std::span<const Call> calls, PackMode mode, http::HttpClient& http,
+      Duration* observed_retry_after = nullptr);
 
   /// One attempt's response -> outcomes for `calls`, in request order. A
   /// reply that does not parse fails the attempt (as kProtocolError
@@ -343,39 +332,6 @@ class SpiClient {
       http::Response response, std::span<const ServiceCall> calls);
   RelayedResult read_reply(http::Response response,
                            std::span<const wire::CallView> calls);
-
-  /// The per-call outcomes of an exchange result, and the merge of a
-  /// re-pack round's replay into the slots it answers.
-  static std::vector<CallOutcome>& outcomes_of(
-      std::vector<CallOutcome>& outcomes) {
-    return outcomes;
-  }
-  static std::vector<wire::RelayedOutcome>& outcomes_of(RelayedPack& pack) {
-    return pack.outcomes;
-  }
-  static void merge_replay(std::vector<CallOutcome>& into,
-                           std::vector<CallOutcome>& replay,
-                           std::span<const size_t> slots);
-  static void merge_replay(RelayedPack& into, RelayedPack& replay,
-                           std::span<const size_t> slots);
-
-  /// True when the retry policy declares every call idempotent.
-  template <class Call>
-  bool all_idempotent(std::span<const Call> calls) const {
-    const auto& idempotent = retry_policy_.options().idempotent;
-    if (!idempotent) return false;
-    for (const Call& call : calls) {
-      if (!idempotent(call.service, call.operation)) return false;
-    }
-    return true;
-  }
-
-  /// Sleeps the jittered backoff before retry `retry_number`, never less
-  /// than `floor` (the server's Retry-After hint). False when the
-  /// remaining deadline budget cannot cover the sleep (retry would be
-  /// pointless: the answer could not arrive in time).
-  bool sleep_backoff(int retry_number, const resilience::Deadline& deadline,
-                     Duration floor);
 
   const codec::CodecRegistry& codec_registry() const;
 
@@ -390,11 +346,13 @@ class SpiClient {
   Result<const codec::WireCodec*> response_codec(
       const http::Response& response) const;
 
-  /// Decodes a response body per its Content-Encoding header and parses it
-  /// — through the document path for codecs that carry structure natively
-  /// (bxml), through the text dispatcher otherwise. Pack cost is charged
-  /// on the wire bytes. The text parse adopts the (decoded) body, so
-  /// callers move the response in.
+  /// A reply body as text: the body itself in identity, else decoded
+  /// under the parse limits per its Content-Encoding.
+  Result<std::string> reply_text(http::Response& response) const;
+
+  /// Decodes a response body and parses it. Pack cost is charged on the
+  /// wire bytes. The parse adopts the (decoded) body, so callers move the
+  /// response in.
   Result<wire::ParsedResponse> parse_wire_response(http::Response response);
 
   net::Transport& transport_;

@@ -10,22 +10,11 @@ namespace spi::core {
 Result<wire::ParsedRequest> Dispatcher::parse_request(
     std::string envelope_xml) {
   const size_t wire_bytes = envelope_xml.size();
-  auto envelope = soap::Envelope::parse(std::move(envelope_xml),
-                                        parse_limits_, envelope_limits_);
-  if (!envelope.ok()) return envelope.error();
-  return parse_request_envelope(envelope.value(), wire_bytes);
-}
+  auto parsed_envelope = soap::Envelope::parse(
+      std::move(envelope_xml), parse_limits_, envelope_limits_);
+  if (!parsed_envelope.ok()) return parsed_envelope.error();
+  const soap::Envelope& envelope = parsed_envelope.value();
 
-Result<wire::ParsedRequest> Dispatcher::parse_request_document(
-    xml::Document document, std::uint64_t wire_bytes) {
-  auto envelope =
-      soap::Envelope::from_document(std::move(document), envelope_limits_);
-  if (!envelope.ok()) return envelope.error();
-  return parse_request_envelope(envelope.value(), wire_bytes);
-}
-
-Result<wire::ParsedRequest> Dispatcher::parse_request_envelope(
-    const soap::Envelope& envelope, std::uint64_t wire_bytes) {
   if (verifier_) {
     const xml::Element* security = nullptr;
     for (const xml::Element* block : envelope.header_blocks) {
@@ -255,20 +244,9 @@ std::vector<IndexedOutcome> Dispatcher::execute_plan_request(
 Result<wire::ParsedResponse> Dispatcher::parse_response(
     std::string envelope_xml) {
   const size_t wire_bytes = envelope_xml.size();
-  auto envelope = soap::Envelope::parse(std::move(envelope_xml));
-  if (!envelope.ok()) return envelope.error();
-  return parse_response_envelope(envelope.value(), wire_bytes);
-}
-
-Result<wire::ParsedResponse> Dispatcher::parse_response_document(
-    xml::Document document, std::uint64_t wire_bytes) {
-  auto envelope = soap::Envelope::from_document(std::move(document));
-  if (!envelope.ok()) return envelope.error();
-  return parse_response_envelope(envelope.value(), wire_bytes);
-}
-
-Result<wire::ParsedResponse> Dispatcher::parse_response_envelope(
-    const soap::Envelope& envelope, std::uint64_t wire_bytes) {
+  auto parsed_envelope = soap::Envelope::parse(std::move(envelope_xml));
+  if (!parsed_envelope.ok()) return parsed_envelope.error();
+  const soap::Envelope& envelope = parsed_envelope.value();
   auto parsed = wire::parse_response(envelope);
   if (parsed.ok()) {
     envelopes_.fetch_add(1, std::memory_order_relaxed);

@@ -69,13 +69,6 @@ class Dispatcher {
   /// request body with std::move to parse it where it lies.
   Result<wire::ParsedRequest> parse_request(std::string envelope_xml);
 
-  /// Same, starting from a Document a binary wire codec (bxml) already
-  /// built — the text tokenizer never runs. `wire_bytes` is the encoded
-  /// size on the wire, which is what the pack-cost model charges (the
-  /// bytes the modeled stack would have copied through its handlers).
-  Result<wire::ParsedRequest> parse_request_document(xml::Document document,
-                                                     std::uint64_t wire_bytes);
-
   /// Server side, step 2: fan the calls out to `pool`, wait for all of
   /// them (WaitGroup fan-in), and return outcomes in request order. The
   /// calls under the fan-out cap (M') are taken one at a time from a
@@ -91,10 +84,6 @@ class Dispatcher {
   /// Client side, step 1: parse a response envelope document (adopted,
   /// like parse_request's).
   Result<wire::ParsedResponse> parse_response(std::string envelope_xml);
-
-  /// Document-path twin of parse_response (see parse_request_document).
-  Result<wire::ParsedResponse> parse_response_document(
-      xml::Document document, std::uint64_t wire_bytes);
 
   /// Client side, step 2: route outcomes back into request order.
   /// Validates that ids form exactly {0..expected_calls-1}; a missing or
@@ -144,14 +133,6 @@ class Dispatcher {
   std::vector<IndexedOutcome> execute_plan_request(
       const wire::ParsedRequest& request, const ServiceRegistry& registry,
       ThreadPool* pool);
-
-  /// Shared tail of the request parse paths: WS-Security verification,
-  /// wire-format extraction, pack-cost charge on `wire_bytes`, and
-  /// trace/deadline header pickup.
-  Result<wire::ParsedRequest> parse_request_envelope(
-      const soap::Envelope& envelope, std::uint64_t wire_bytes);
-  Result<wire::ParsedResponse> parse_response_envelope(
-      const soap::Envelope& envelope, std::uint64_t wire_bytes);
 
   soap::WsseVerifier* verifier_;
   PackCostModel pack_cost_;

@@ -128,7 +128,6 @@ SpiServer::SpiServer(net::Transport& transport, net::Endpoint at,
   http_options.reactor_threads = options_.reactor_threads;
   http_options.accept_sharding = options_.accept_sharding;
   http_options.accept_batch_per_wake = options_.accept_batch_per_wake;
-  http_options.pin_reactor_threads = options_.pin_reactor_threads;
   http_options.limits = options_.http_limits;
   http_options.read_latency = http_read_;
   http_server_ = std::make_unique<http::HttpServer>(
@@ -507,13 +506,13 @@ http::Response SpiServer::handle(http::Request&& request) {
       found->second->inc(request.body.size());
     }
   }
-  // Text codecs (deflate) inflate here, under the decoded-bytes budget, so
-  // the deadline scan below still sees text; bxml goes straight to a
-  // Document inside the parse span and skips the scan (its deadline header
-  // is still enforced at the execute-stage boundary).
+  // Every coded body is decoded to text here, at the edge, under the
+  // decoded-bytes budget and the parse limits, so the deadline scan and
+  // the parse below see text whatever the codec.
   std::string decoded_body;
-  if (encoded_request && !request_codec->decodes_to_document()) {
-    auto plain = request_codec->decode(request.body, decoded_budget);
+  if (encoded_request) {
+    auto plain = request_codec->decode(request.body, decoded_budget,
+                                       options_.parse_limits);
     if (!plain.ok()) {
       SPI_LOG(kDebug, "spi.server")
           << "rejecting request: " << plain.error().to_string();
@@ -533,15 +532,13 @@ http::Response SpiServer::handle(http::Request&& request) {
   // scan over the raw document — if the client's budget is already spent,
   // answering DeadlineExceeded now beats paying the parse stage for an
   // answer nobody is waiting for.
-  if (!encoded_request || !request_codec->decodes_to_document()) {
-    const TimePoint now = RealClock::instance().now();
-    if (auto scanned = resilience::Deadline::scan(text_body, now);
-        scanned && scanned->expired(now)) {
-      deadline_shed_pre_parse_.fetch_add(1, std::memory_order_relaxed);
-      return respond_fault(Error(ErrorCode::kDeadlineExceeded,
-                                 "deadline expired before parse stage"),
-                           504);
-    }
+  const TimePoint now = RealClock::instance().now();
+  if (auto scanned = resilience::Deadline::scan(text_body, now);
+      scanned && scanned->expired(now)) {
+    deadline_shed_pre_parse_.fetch_add(1, std::memory_order_relaxed);
+    return respond_fault(Error(ErrorCode::kDeadlineExceeded,
+                               "deadline expired before parse stage"),
+                         504);
   }
 
   telemetry::ScopedSpan parse_span(span_parse_);
@@ -549,14 +546,7 @@ http::Response SpiServer::handle(http::Request&& request) {
     if (!encoded_request) {
       return dispatcher_.parse_request(std::move(request.body));
     }
-    if (request_codec->decodes_to_document()) {
-      auto document = request_codec->decode_document(
-          request.body, decoded_budget, options_.parse_limits);
-      if (!document.ok()) return document.wrap_error("decode request");
-      return dispatcher_.parse_request_document(std::move(document).value(),
-                                                request.body.size());
-    }
-    // The tokenizer runs over the inflated text, but the modeled handler
+    // The tokenizer runs over the decoded text, but the modeled handler
     // stack only ever copied the wire bytes — capture the parse charge and
     // replay it at the encoded size.
     PackCostDeferral deferral;

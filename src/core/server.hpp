@@ -57,9 +57,6 @@ struct ServerOptions {
   /// how long a connect flood can monopolize a loop.
   size_t accept_batch_per_wake = 64;
 
-  /// Pin reactor loop i to CPU (i mod cores). Off by default.
-  bool pin_reactor_threads = false;
-
   /// false = Figure 1 coupled architecture (handlers run on the protocol
   /// thread); true = Figure 2 staged architecture.
   bool staged = true;

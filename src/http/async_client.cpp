@@ -8,13 +8,9 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "http/outbox.hpp"
 
 namespace spi::http {
-
-namespace {
-/// Gather width per try_sendv call (matches the transport's own cap).
-constexpr size_t kMaxSendvSegments = 64;
-}  // namespace
 
 /// All mutable state lives here and is touched ONLY on the reactor loop
 /// thread (public entry points marshal via Reactor::post / run_sync).
@@ -56,10 +52,8 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
     MessageParser parser;
     std::deque<std::unique_ptr<Exchange>> inflight;
     /// Outbound bytes not yet accepted by the kernel: each exchange's
-    /// segments in order, drained with try_sendv where the transport
-    /// gathers natively. A segment's owner lives until it is written.
-    std::deque<SharedBytes> outbox;
-    size_t outbox_off = 0;  // into outbox.front()
+    /// segments in order. A segment's owner lives until it is written.
+    Outbox outbox;
     std::uint64_t served = 0;
 
     Conn(net::Endpoint ep, ParserLimits limits)
@@ -150,15 +144,15 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
     // case "ex is inflight.back() and its segments are the last
     // ex->segment_count outbox segments, with no byte of the first one
     // consumed".
-    const size_t segments = conn->outbox.size();
+    const size_t segments = conn->outbox.segments();
     const size_t own = ex->segment_count;
     bool tail = !conn->inflight.empty() && conn->inflight.back().get() == ex;
     bool unwritten = segments >= own &&
-                     (segments > own || conn->outbox_off == 0);
+                     (segments > own || conn->outbox.front_untouched());
     if (tail && unwritten) {
       // Dropping the segments lets their owners go: the framing back to
       // the buffer pool, the caller's Values to the caller.
-      conn->outbox.erase(conn->outbox.end() - own, conn->outbox.end());
+      conn->outbox.drop_back(own);
       conn->inflight.pop_back();
       if (!conn->connecting) update_interest(conn);
       maybe_arm_drain(conn);
@@ -311,7 +305,7 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
       pipelined.fetch_add(1, std::memory_order_relaxed);
     }
     for (SharedBytes& segment : ex->segments) {
-      conn->outbox.push_back(std::move(segment));
+      conn->outbox.push(std::move(segment));
     }
     ex->segments.clear();
     conn->inflight.push_back(std::move(ex));
@@ -370,38 +364,11 @@ struct AsyncHttpClient::Impl : std::enable_shared_from_this<Impl> {
 
   /// Drains the outbox into the socket; false when the connection died.
   bool flush_outbox(Conn* conn) {
-    net::Connection& io = *conn->connection;
-    while (!conn->outbox.empty()) {
-      Result<size_t> sent = [&]() -> Result<size_t> {
-        if (conn->outbox.size() > 1 && io.supports_sendv()) {
-          net::ConstBuffer segments[kMaxSendvSegments];
-          size_t count = 0;
-          size_t off = conn->outbox_off;
-          for (const SharedBytes& s : conn->outbox) {
-            if (count == kMaxSendvSegments) break;
-            segments[count].data = s.bytes.data() + off;
-            segments[count].size = s.bytes.size() - off;
-            ++count;
-            off = 0;
-          }
-          return io.try_sendv(segments, count);
-        }
-        return io.try_send(
-            conn->outbox.front().bytes.substr(conn->outbox_off));
-      }();
-      if (!sent.ok()) {
-        if (sent.error().code() == ErrorCode::kWouldBlock) break;
-        destroy_conn(conn, sent.error().wrap("async send"));
-        return false;
-      }
-      size_t n = sent.value();
-      conn->outbox_off += n;
-      while (!conn->outbox.empty() &&
-             conn->outbox_off >= conn->outbox.front().bytes.size()) {
-        conn->outbox_off -= conn->outbox.front().bytes.size();
-        conn->outbox.pop_front();  // its owner lets go
-      }
-      if (n == 0) break;  // zero-length segment edge; avoid spinning
+    Outbox::Progress progress;
+    if (Status sent = conn->outbox.flush(*conn->connection, progress);
+        !sent.ok()) {
+      destroy_conn(conn, sent.error().wrap("async send"));
+      return false;
     }
     update_interest(conn);
     return true;

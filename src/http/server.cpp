@@ -11,14 +11,6 @@
 namespace spi::http {
 
 namespace {
-/// Segments gathered per try_sendv call (matches the transport's batch
-/// width; deeper outboxes just take another gather).
-constexpr size_t kSendvBatch = 64;
-
-/// Fallback string outbox capacity kept across responses. Above this the
-/// drained buffer is released (see detail::shrink_drained_outbox).
-constexpr size_t kOutboxRetainCapacity = 64 * 1024;
-
 TimePoint now() { return std::chrono::steady_clock::now(); }
 }  // namespace
 
@@ -46,7 +38,6 @@ class HttpServer::ReactorConn final
   /// the FSM (which arms the idle timer).
   void open() {
     (void)connection_->set_nonblocking(true);
-    use_sendv_ = connection_->supports_sendv();
     loop_stats_.connections.fetch_add(1, std::memory_order_relaxed);
     auto self = shared_from_this();
     token_ = reactor_.add_fd(
@@ -73,18 +64,12 @@ class HttpServer::ReactorConn final
 
   void send_bytes(std::vector<SharedBytes> segments,
                   bool /*close_after*/) override {
+    // Each segment (the response head, a run of the Assembler's framing,
+    // or a spliced value that may share the request body) is queued as
+    // is, its owner held until the segment is written.
     for (SharedBytes& segment : segments) {
-      if (segment.bytes.empty()) continue;
       bytes_queued_ += segment.bytes.size();
-      if (use_sendv_) {
-        // Zero-copy path: the segment (the response head, a run of the
-        // Assembler's framing, or a spliced value that may share the
-        // request body) is queued as-is, its owner held until the segment
-        // is written, and gathered to the socket as one iovec.
-        outbox_segments_.push_back(std::move(segment));
-      } else {
-        outbox_.append(segment.bytes);
-      }
+      outbox_.push(std::move(segment));
     }
     // One response == one completion mark, even if its payload was empty.
     send_marks_.push_back(bytes_queued_);
@@ -195,83 +180,24 @@ class HttpServer::ReactorConn final
     if (flushing_ || finished_) return;
     flushing_ = true;
     while (!finished_) {
-      const bool blocked = use_sendv_ ? write_vectored() : write_coalesced();
+      Outbox::Progress progress;
+      const Status written = outbox_.flush(*connection_, progress);
+      bytes_written_ += progress.bytes;
+      loop_stats_.bytes_written.fetch_add(progress.bytes,
+                                          std::memory_order_relaxed);
+      loop_stats_.sendv_batches.fetch_add(progress.writes,
+                                          std::memory_order_relaxed);
+      loop_stats_.sendv_segments.fetch_add(progress.retired,
+                                           std::memory_order_relaxed);
+      if (!written.ok()) fsm_.on_receive_error();
+      const bool blocked = !outbox_.empty();
       // Completions fire outside the write pass: on_send_complete() can
       // close the connection or append a pipelined response.
       fire_completions();
-      if (finished_ || blocked || !has_pending_bytes()) break;
+      if (finished_ || !written.ok() || blocked || outbox_.empty()) break;
     }
     flushing_ = false;
     if (!finished_) update_interest();
-  }
-
-  /// One gather pass over the segment chain. Returns true when the socket
-  /// would block (arm write interest); errors close via the FSM.
-  bool write_vectored() {
-    while (!finished_ && !outbox_segments_.empty()) {
-      net::ConstBuffer buffers[kSendvBatch];
-      size_t count = 0;
-      size_t offset = segment_offset_;
-      for (const SharedBytes& segment : outbox_segments_) {
-        if (count == kSendvBatch) break;
-        buffers[count++] = {segment.bytes.data() + offset,
-                            segment.bytes.size() - offset};
-        offset = 0;
-      }
-      auto sent = connection_->try_sendv(buffers, count);
-      if (!sent.ok()) {
-        if (sent.error().code() == ErrorCode::kWouldBlock) return true;
-        fsm_.on_receive_error();
-        return false;
-      }
-      loop_stats_.sendv_batches.fetch_add(1, std::memory_order_relaxed);
-      advance_segments(sent.value());
-    }
-    return false;
-  }
-
-  /// Advances the iovec cursor in place across a (possibly short,
-  /// possibly mid-segment) write of `n` bytes.
-  void advance_segments(size_t n) {
-    bytes_written_ += n;
-    loop_stats_.bytes_written.fetch_add(n, std::memory_order_relaxed);
-    while (n > 0) {
-      const size_t remaining =
-          outbox_segments_.front().bytes.size() - segment_offset_;
-      if (n < remaining) {
-        segment_offset_ += n;
-        return;
-      }
-      n -= remaining;
-      segment_offset_ = 0;
-      // Drops the segment's owner: a written envelope goes back to the
-      // buffer pool, and a spliced value lets its source go.
-      outbox_segments_.pop_front();
-      loop_stats_.sendv_segments.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Fallback for transports without vectored sends: the classic single
-  /// string outbox.
-  bool write_coalesced() {
-    while (!finished_ && outbox_offset_ < outbox_.size()) {
-      auto sent = connection_->try_send(
-          std::string_view(outbox_).substr(outbox_offset_));
-      if (!sent.ok()) {
-        if (sent.error().code() == ErrorCode::kWouldBlock) return true;
-        fsm_.on_receive_error();
-        return false;
-      }
-      bytes_written_ += sent.value();
-      loop_stats_.bytes_written.fetch_add(sent.value(),
-                                          std::memory_order_relaxed);
-      outbox_offset_ += sent.value();
-      if (outbox_offset_ == outbox_.size()) {
-        detail::shrink_drained_outbox(outbox_, kOutboxRetainCapacity);
-        outbox_offset_ = 0;
-      }
-    }
-    return false;
   }
 
   /// Tells the FSM about every response whose last byte has reached the
@@ -285,16 +211,11 @@ class HttpServer::ReactorConn final
     }
   }
 
-  bool has_pending_bytes() const {
-    return use_sendv_ ? !outbox_segments_.empty()
-                      : outbox_offset_ < outbox_.size();
-  }
-
   void update_interest() {
     if (finished_) return;
     std::uint32_t want = 0;
     if (fsm_.wants_read()) want |= net::Readiness::kRead;
-    if (has_pending_bytes()) want |= net::Readiness::kWrite;
+    if (!outbox_.empty()) want |= net::Readiness::kWrite;
     if (want != interest_) {
       reactor_.set_interest(token_, want);
       interest_ = want;
@@ -323,19 +244,12 @@ class HttpServer::ReactorConn final
   std::uint64_t token_ = 0;
   std::uint32_t interest_ = 0;
   TimerWheel::TimerId timer_ = TimerWheel::kInvalidTimer;
-  /// Vectored outbox: response segments awaiting the wire, front segment
-  /// partially sent up to segment_offset_.
-  std::deque<SharedBytes> outbox_segments_;
-  size_t segment_offset_ = 0;
-  /// Coalesced fallback outbox (transports without try_sendv).
-  std::string outbox_;
-  size_t outbox_offset_ = 0;
+  Outbox outbox_;
   /// Cumulative queued/written byte positions; a send_bytes() call
   /// completes when bytes_written_ crosses its mark.
   std::uint64_t bytes_queued_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::deque<std::uint64_t> send_marks_;
-  bool use_sendv_ = false;
   bool flushing_ = false;
   bool finished_ = false;
 };
@@ -612,13 +526,9 @@ Status HttpServer::start() {
       options_.protocol_threads, "http-protocol");
   accepting_.store(true, std::memory_order_release);
   if (reactor_mode_) {
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
     for (size_t i = 0; i < options_.reactor_threads; ++i) {
       Reactor::Options reactor_options;
       reactor_options.name = "http-reactor-" + std::to_string(i);
-      if (options_.pin_reactor_threads) {
-        reactor_options.cpu_affinity = static_cast<int>(i % cores);
-      }
       reactors_.push_back(std::make_unique<Reactor>(reactor_options));
       reactors_.back()->start();
     }

@@ -34,6 +34,7 @@
 #include "concurrency/timer_wheel.hpp"
 #include "http/connection_fsm.hpp"
 #include "http/message.hpp"
+#include "http/outbox.hpp"
 #include "http/parser.hpp"
 #include "net/transport.hpp"
 
@@ -65,10 +66,6 @@ struct ServerOptions {
   /// until its backlog is dry, so no accept is lost.
   size_t accept_batch_per_wake = 64;
 
-  /// Pin reactor loop i to CPU (i mod hardware_concurrency). Off by
-  /// default: pinning wins on dedicated boxes, loses on shared ones.
-  bool pin_reactor_threads = false;
-
   /// Telemetry span for the HTTP-read lifecycle point (unowned; must
   /// outlive the server): wall time from the first received byte of a
   /// request until its framing parses complete. Null = off.
@@ -91,23 +88,6 @@ struct ServerOptions {
   /// connection slot. 0 = unlimited.
   size_t max_connections = 0;
 };
-
-namespace detail {
-
-/// Satellite of the iovec outbox: the string fallback path reuses one
-/// outbox buffer per connection, and `clear()` keeps the old capacity
-/// forever — one 10 MB response would pin 10 MB per connection for the
-/// connection's whole life. After a full drain, give the allocation back
-/// once it exceeds the retain cap (swap guarantees release; shrink_to_fit
-/// is only a hint).
-inline void shrink_drained_outbox(std::string& outbox, size_t retain_cap) {
-  outbox.clear();
-  if (outbox.capacity() > retain_cap) {
-    std::string().swap(outbox);
-  }
-}
-
-}  // namespace detail
 
 class HttpServer {
  public:

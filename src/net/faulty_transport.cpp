@@ -65,8 +65,8 @@ class FaultyTransport::FaultyConnection final : public Connection {
   // Same sever/corrupt schedule applied to the readiness-driven path so
   // the async client can run under chaos. Injected first-send DELAYS are
   // not applied here: try_send runs on a reactor loop thread and must
-  // never sleep. supports_sendv() stays false so callers funnel through
-  // try_send, where byte-offset accounting lives.
+  // never sleep. try_sendv is not overridden: the default sends one
+  // segment per call through try_send, where byte-offset accounting lives.
 
   int native_handle() const override { return inner_->native_handle(); }
 

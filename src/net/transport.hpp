@@ -170,20 +170,21 @@ class Connection {
                  "transport does not support non-blocking I/O");
   }
 
-  /// True when try_sendv() gathers natively (writev/sendmsg). Callers keep
-  /// a coalesced single-buffer fallback for transports that return false.
+  /// True when try_sendv() gathers natively (writev/sendmsg). Callers
+  /// need not ask: try_sendv() works either way.
   virtual bool supports_sendv() const { return false; }
 
   /// Non-blocking vectored send: writes the segments in order as one
   /// gather and returns bytes accepted — possibly short, possibly ending
   /// mid-segment; the caller advances its segment cursor and retries.
-  /// kWouldBlock when nothing could be accepted.
+  /// kWouldBlock when nothing could be accepted. The default sends the
+  /// first segment through try_send(), so a connection that cannot gather
+  /// (or a wrapper that injects its faults in try_send) still works, one
+  /// segment per call.
   virtual Result<size_t> try_sendv(const ConstBuffer* segments,
                                    size_t count) {
-    (void)segments;
-    (void)count;
-    return Error(ErrorCode::kInvalidArgument,
-                 "transport does not support vectored I/O");
+    if (count == 0) return size_t{0};
+    return try_send(std::string_view(segments[0].data, segments[0].size));
   }
 
   /// Completes a dial started by Transport::connect_nonblocking that came

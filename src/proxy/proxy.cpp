@@ -335,32 +335,21 @@ std::string PackingProxy::encode_response(const codec::WireCodec& codec,
   return std::move(encoded).value();
 }
 
-void PackingProxy::scatter_group(Group& group,
-                                 const resilience::Deadline& deadline,
-                                 const telemetry::TraceContext& trace,
-                                 core::PackMode mode) {
+bool PackingProxy::open_group(Group& group,
+                              const resilience::Deadline& deadline) {
   Backend& backend = *group.backend;
   backend.subpacks.fetch_add(1, std::memory_order_relaxed);
   backend.calls.fetch_add(group.calls.size(), std::memory_order_relaxed);
   scattered_subpacks_.fetch_add(1, std::memory_order_relaxed);
-
-  // Thread-locals do not cross the scatter pool: re-install the message's
-  // deadline and trace inside the leg, so the sub-pack the backend client
-  // assembles carries the REMAINING budget and a child of the origin
-  // trace (same trace id on every sibling sub-pack).
-  resilience::DeadlineScope deadline_scope(deadline);
-  telemetry::TraceScope trace_scope(trace);
 
   if (deadline.expired(RealClock::instance().now())) {
     group.result = Error(ErrorCode::kDeadlineExceeded,
                          "deadline expired before scatter to " +
                              backend.endpoint.to_string());
     backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-    return;
+    return false;
   }
-
-  AdaptiveLimiter* limiter = backend.limiter.get();
-  if (limiter && !limiter->try_acquire()) {
+  if (backend.limiter && !backend.limiter->try_acquire()) {
     // Shed locally instead of piling onto a backend already past its
     // learned limit; the reroute pass may still land these calls on a
     // sibling with headroom.
@@ -371,25 +360,47 @@ void PackingProxy::scatter_group(Group& group,
               "proxy shed sub-pack at " + backend.endpoint.to_string() +
                   "'s adaptive concurrency limit");
     backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-    return;
+    return false;
   }
+  group.sent = std::chrono::steady_clock::now();
+  return true;
+}
 
-  const auto started = std::chrono::steady_clock::now();
+void PackingProxy::close_group(Group& group,
+                               core::SpiClient::RelayedResult result,
+                               Duration retry_after) {
+  if (AdaptiveLimiter* limiter = group.backend->limiter.get()) {
+    limiter->release(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - group.sent)
+                         .count());
+  }
+  group.retry_after = retry_after;
+  settle_group(group, std::move(result));
+}
+
+void PackingProxy::scatter_group(Group& group,
+                                 const resilience::Deadline& deadline,
+                                 const telemetry::TraceContext& trace,
+                                 core::PackMode mode) {
+  // Thread-locals do not cross the scatter pool: re-install the message's
+  // deadline and trace inside the leg, so the sub-pack the backend client
+  // assembles carries the REMAINING budget and a child of the origin
+  // trace (same trace id on every sibling sub-pack).
+  resilience::DeadlineScope deadline_scope(deadline);
+  telemetry::TraceScope trace_scope(trace);
+  if (!open_group(group, deadline)) return;
+
+  Backend& backend = *group.backend;
   std::unique_ptr<http::HttpClient> http = checkout_connection(backend);
   Duration retry_after = Duration::zero();
   auto result = backend.client->execute_packed_on(*http, group.calls, mode,
                                                   &retry_after);
-  if (limiter) {
-    limiter->release(std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - started)
-                         .count());
-  }
-  group.retry_after = retry_after;
   // Message-level success leaves the connection at a message boundary,
   // safe to reuse; after a failure it may hold half a response — drop it
   // (checkout will dial fresh next time).
-  if (result.ok()) checkin_connection(backend, std::move(http));
-  settle_group(group, std::move(result));
+  const bool reusable = result.ok();
+  close_group(group, std::move(result), retry_after);
+  if (reusable) checkin_connection(backend, std::move(http));
 }
 
 void PackingProxy::settle_group(Group& group,
@@ -424,48 +435,17 @@ void PackingProxy::scatter_all_async(std::vector<Group>& groups,
 
   WaitGroup pending;
   for (Group& group : groups) {
-    Backend& backend = *group.backend;
-    backend.subpacks.fetch_add(1, std::memory_order_relaxed);
-    backend.calls.fetch_add(group.calls.size(), std::memory_order_relaxed);
-    scattered_subpacks_.fetch_add(1, std::memory_order_relaxed);
-
-    if (deadline.expired(RealClock::instance().now())) {
-      group.result = Error(ErrorCode::kDeadlineExceeded,
-                           "deadline expired before scatter to " +
-                               backend.endpoint.to_string());
-      backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-      continue;
-    }
-
-    AdaptiveLimiter* limiter = backend.limiter.get();
-    if (limiter && !limiter->try_acquire()) {
-      local_sheds_.fetch_add(1, std::memory_order_relaxed);
-      group.shed = true;
-      group.result =
-          Error(ErrorCode::kCapacityExceeded,
-                "proxy shed sub-pack at " + backend.endpoint.to_string() +
-                    "'s adaptive concurrency limit");
-      backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-      continue;
-    }
-
+    if (!open_group(group, deadline)) continue;
     pending.add();
-    const auto started = std::chrono::steady_clock::now();
     Group* g = &group;
     // The completion runs on the reactor loop thread; it only classifies
     // the result and releases the latch — never blocks. The calls view
     // the origin body, which outlives the latch.
-    backend.client->execute_packed_async(
+    g->backend->client->execute_packed_async(
         std::span<const core::wire::CallView>(g->calls), mode,
-        [g, limiter, started, &pending](core::SpiClient::RelayedResult result,
-                                        Duration retry_after) {
-          if (limiter) {
-            limiter->release(std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count());
-          }
-          g->retry_after = retry_after;
-          settle_group(*g, std::move(result));
+        [g, &pending](core::SpiClient::RelayedResult result,
+                      Duration retry_after) {
+          close_group(*g, std::move(result), retry_after);
           pending.done();
         });
   }
@@ -659,8 +639,8 @@ http::Response PackingProxy::handle(http::Request&& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   // --- client->proxy hop decode (DESIGN.md §14, independent per hop) ------
-  // A coded body (deflate, bxml) is decoded to text here, at the edge, so
-  // one view path routes every codec.
+  // A coded body (deflate, bxml) is decoded to text here, at the edge, as
+  // every hop does, so one view path routes every codec.
   const codec::WireCodec* request_codec = &codec::identity_codec();
   if (auto coding = request.headers.get("Content-Encoding")) {
     const codec::WireCodec* found = codecs_->find(*coding);
@@ -676,9 +656,9 @@ http::Response PackingProxy::handle(http::Request&& request) {
   if (request_codec->name() == "identity") {
     text = std::move(request.body);
   } else {
-    auto plain = request_codec->decode_text(
-        request.body, options_.http_limits.max_body_bytes,
-        options_.parse_limits);
+    auto plain = request_codec->decode(request.body,
+                                       options_.http_limits.max_body_bytes,
+                                       options_.parse_limits);
     if (!plain.ok()) {
       return fault_response(plain.wrap_error("decode request"), 400);
     }

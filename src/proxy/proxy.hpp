@@ -217,6 +217,8 @@ class PackingProxy {
     core::SpiClient::RelayedResult result{core::RelayedPack{}};
     Duration retry_after = Duration::zero();
     bool shed = false;  ///< backend (or local limiter) shed the sub-pack
+    /// When open_group let the sub-pack go (the limiter's latency start).
+    std::chrono::steady_clock::time_point sent{};
   };
 
   /// Consumes the request body: it is viewed where it lies, and the
@@ -231,8 +233,17 @@ class PackingProxy {
   http::Response handle_metrics();
   http::Response handle_healthz();
 
-  /// Sends one group: limiter gate, pooled connection checkout,
-  /// execute_packed_on, shed classification. Fills group.result.
+  /// The steps every scatter of a group opens and closes with, whichever
+  /// driver sends it. open_group: counters, then the spent-deadline fault
+  /// or the adaptive limiter's local shed; false when the group settled
+  /// right there. close_group: limiter release with the leg's latency,
+  /// the backend's Retry-After, settle_group.
+  bool open_group(Group& group, const resilience::Deadline& deadline);
+  static void close_group(Group& group, core::SpiClient::RelayedResult result,
+                          Duration retry_after);
+
+  /// Sends one group on the blocking path: open_group, a pooled
+  /// connection, execute_packed_on, close_group. Fills group.result.
   void scatter_group(Group& group, const resilience::Deadline& deadline,
                      const telemetry::TraceContext& trace,
                      core::PackMode mode);

@@ -56,13 +56,8 @@ Result<Envelope> Envelope::parse(std::string text,
                                  const EnvelopeLimits& limits) {
   auto document = xml::parse_document(std::move(text), parse_limits);
   if (!document.ok()) return document.wrap_error("SOAP envelope");
-  return from_document(std::move(document).value(), limits);
-}
-
-Result<Envelope> Envelope::from_document(xml::Document document,
-                                         const EnvelopeLimits& limits) {
   Envelope envelope;
-  envelope.document = std::move(document);
+  envelope.document = std::move(document).value();
   const xml::Element& root = envelope.document.root;
 
   if (root.local_name() != "Envelope") {

@@ -97,11 +97,6 @@ struct Envelope {
   static Result<Envelope> parse(std::string text,
                                 const xml::ParseLimits& parse_limits = {},
                                 const EnvelopeLimits& limits = {});
-
-  /// Same validation over an already-built Document (e.g. one a binary
-  /// wire codec decoded without ever materializing text). Takes ownership.
-  static Result<Envelope> from_document(xml::Document document,
-                                        const EnvelopeLimits& limits = {});
 };
 
 /// SOAP 1.1 Fault.

@@ -33,13 +33,13 @@ TEST(IdentityCodecTest, PassesBytesThrough) {
   auto encoded = codec.encode("hello");
   ASSERT_TRUE(encoded.ok());
   EXPECT_EQ(encoded.value(), "hello");
-  auto decoded = codec.decode(encoded.value(), 1024);
+  auto decoded = codec.decode(encoded.value(), 1024, {});
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), "hello");
 }
 
 TEST(IdentityCodecTest, DecodeBudgetStillApplies) {
-  auto decoded = identity_codec().decode(std::string(100, 'x'), 10);
+  auto decoded = identity_codec().decode(std::string(100, 'x'), 10, {});
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code(), ErrorCode::kCapacityExceeded);
   EXPECT_NE(decoded.error().message().find("limit exceeded: decoded-bytes"),
@@ -54,7 +54,7 @@ TEST(DeflateCodecTest, RoundTripsAndCompressesEnvelopes) {
   ASSERT_TRUE(encoded.ok());
   EXPECT_LT(encoded.value().size(), plain.size() / 2)
       << "repetitive envelope text must compress well";
-  auto decoded = codec.decode(encoded.value(), plain.size());
+  auto decoded = codec.decode(encoded.value(), plain.size(), {});
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), plain);
 }
@@ -70,7 +70,7 @@ TEST(DeflateCodecTest, RoundTripsIncompressibleData) {
   }
   auto encoded = codec.encode(plain);
   ASSERT_TRUE(encoded.ok());
-  auto decoded = codec.decode(encoded.value(), plain.size());
+  auto decoded = codec.decode(encoded.value(), plain.size(), {});
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), plain);
 }
@@ -82,7 +82,7 @@ TEST(DeflateCodecTest, CorruptBodyIsCodecError) {
   std::string corrupt = encoded.value();
   corrupt[corrupt.size() / 2] ^= 0x5A;
   corrupt[corrupt.size() / 2 + 1] ^= 0xA5;
-  auto decoded = codec.decode(corrupt, 1u << 20);
+  auto decoded = codec.decode(corrupt, 1u << 20, {});
   ASSERT_FALSE(decoded.ok());
   // A flipped bit mid-stream lands on kCodecError (invalid stream or
   // checksum mismatch) — never a crash, never silent data.
@@ -95,7 +95,7 @@ TEST(DeflateCodecTest, TruncatedBodyIsCodecError) {
   ASSERT_TRUE(encoded.ok());
   auto decoded = codec.decode(
       std::string_view(encoded.value()).substr(0, encoded.value().size() / 2),
-      1u << 20);
+      1u << 20, {});
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code(), ErrorCode::kCodecError);
 }
@@ -106,7 +106,7 @@ TEST(DeflateCodecTest, DecompressionBombShedsAtBudget) {
   auto encoded = codec.encode(plain);
   ASSERT_TRUE(encoded.ok());
   EXPECT_LT(encoded.value().size(), 64u * 1024);
-  auto decoded = codec.decode(encoded.value(), 64 * 1024);
+  auto decoded = codec.decode(encoded.value(), 64 * 1024, {});
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code(), ErrorCode::kCapacityExceeded);
   EXPECT_NE(decoded.error().message().find("limit exceeded: decoded-bytes"),
@@ -116,7 +116,6 @@ TEST(DeflateCodecTest, DecompressionBombShedsAtBudget) {
 TEST(BxmlCodecTest, DocumentMatchesTextParse) {
   BxmlCodec codec;
   EXPECT_EQ(codec.name(), "bxml");
-  EXPECT_TRUE(codec.decodes_to_document());
   const std::string plain = sample_envelope(8);
   auto encoded = codec.encode(plain);
   ASSERT_TRUE(encoded.ok());
@@ -127,6 +126,13 @@ TEST(BxmlCodecTest, DocumentMatchesTextParse) {
   auto reference = xml::parse_document(plain);
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(document.value().root == reference.value().root);
+  // The text edge: what every hop parses is the decoded text, and its
+  // parse is the same document again.
+  auto text = codec.decode(encoded.value(), 1u << 20, {});
+  ASSERT_TRUE(text.ok()) << text.error().to_string();
+  auto edge = xml::parse_document(std::move(text).value());
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  EXPECT_TRUE(edge.value().root == reference.value().root);
 }
 
 TEST(BxmlCodecTest, TextDecodeRoundTrips) {
@@ -134,7 +140,7 @@ TEST(BxmlCodecTest, TextDecodeRoundTrips) {
   const std::string plain = sample_envelope(2);
   auto encoded = codec.encode(plain);
   ASSERT_TRUE(encoded.ok());
-  auto decoded = codec.decode(encoded.value(), 1u << 20);
+  auto decoded = codec.decode(encoded.value(), 1u << 20, {});
   ASSERT_TRUE(decoded.ok());
   auto reference = xml::parse_document(plain);
   ASSERT_TRUE(reference.ok());

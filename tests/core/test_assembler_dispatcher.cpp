@@ -311,7 +311,7 @@ TEST(DispatcherTest, DeflateCodedBodiesRoundTripThroughAdoptingParse) {
       deflate.encode(assembler.assemble_request(calls, PackMode::kPacked)
           .flatten());
   ASSERT_TRUE(request_wire.ok());
-  auto request_text = deflate.decode(request_wire.value(), 1u << 20);
+  auto request_text = deflate.decode(request_wire.value(), 1u << 20, {});
   ASSERT_TRUE(request_text.ok()) << request_text.error().to_string();
   auto request = server_side.parse_request(std::move(request_text).value());
   ASSERT_TRUE(request.ok()) << request.error().to_string();
@@ -322,7 +322,7 @@ TEST(DispatcherTest, DeflateCodedBodiesRoundTripThroughAdoptingParse) {
       outcomes, request.value().calls.front().call, request.value().packed)
           .flatten());
   ASSERT_TRUE(response_wire.ok());
-  auto response_text = deflate.decode(response_wire.value(), 1u << 20);
+  auto response_text = deflate.decode(response_wire.value(), 1u << 20, {});
   ASSERT_TRUE(response_text.ok()) << response_text.error().to_string();
   auto response = client_side.parse_response(std::move(response_text).value());
   ASSERT_TRUE(response.ok()) << response.error().to_string();

@@ -229,7 +229,7 @@ TEST_F(CodecEndToEndTest, KeepAliveConnectionRenegotiatesPerRequest) {
     auto coding = response.value().headers.get("Content-Encoding");
     ASSERT_TRUE(coding.has_value());
     EXPECT_EQ(*coding, "deflate");
-    auto plain = deflate.decode(response.value().body, 1u << 20);
+    auto plain = deflate.decode(response.value().body, 1u << 20, {});
     EXPECT_TRUE(plain.ok());
   }
   {  // back to identity on the SAME connection

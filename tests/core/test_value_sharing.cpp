@@ -1,8 +1,8 @@
 // String Values share the received message instead of copying it
 // (DESIGN.md §8, lifetime rule): decoded strings outlive the Envelope and
 // the body they were read from, copies share bytes, text the parser had to
-// write (entities, joined runs) and Documents bxml built are copied, and
-// end to end a kept parameter or a client outcome outlives everything that
+// write (entities, joined runs) is copied, a bxml body decoded to text at
+// the edge is shared like any other, and end to end a kept parameter or a client outcome outlives everything that
 // decoded it.
 #include <gtest/gtest.h>
 
@@ -148,7 +148,7 @@ TEST(ValueSharingTest, TextTheParserWroteIsOwnedAndRoundTrips) {
   }
 }
 
-TEST(ValueSharingTest, BxmlDocumentStringsAreOwned) {
+TEST(ValueSharingTest, BxmlStringsShareTheDecodedText) {
   const std::vector<ServiceCall> calls = echo_calls(3, 2048);
   core::Assembler assembler;
   const std::string text =
@@ -156,18 +156,23 @@ TEST(ValueSharingTest, BxmlDocumentStringsAreOwned) {
   codec::BxmlCodec bxml;
   auto wire = bxml.encode(text);
   ASSERT_TRUE(wire.ok()) << wire.error().to_string();
-  auto document = bxml.decode_document(wire.value(), 1u << 24, {});
-  ASSERT_TRUE(document.ok()) << document.error().to_string();
-  EXPECT_EQ(document.value().source, nullptr);
 
+  // A bxml hop decodes to text at the edge, and the parse adopts that text
+  // as it adopts an identity body: the strings share it, and outlive it
+  // and the wire bytes.
+  auto decoded = bxml.decode(wire.value(), 1u << 24, {});
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   core::Dispatcher dispatcher;
-  auto parsed = dispatcher.parse_request_document(std::move(document).value(),
-                                                  wire.value().size());
+  auto parsed = dispatcher.parse_request(std::move(decoded).value());
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  wire = Error(ErrorCode::kInternal, "gone");
   std::vector<std::string> churn(64, std::string(8192, '#'));
   ASSERT_EQ(parsed.value().calls.size(), calls.size());
   for (size_t i = 0; i < calls.size(); ++i) {
     EXPECT_EQ(parsed.value().calls[i].call, calls[i]) << i;
+    const Value& data = parsed.value().calls[i].call.params.front().second;
+    ASSERT_NE(data.string_owner(), nullptr) << i;
+    EXPECT_TRUE(lies_within(data.as_string(), *data.string_owner())) << i;
   }
 }
 

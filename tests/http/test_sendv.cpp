@@ -5,8 +5,8 @@
 // end mid-segment (cursor advancement in place), write-interest re-arming
 // after synthetic backpressure, pipelined-response ordering across many
 // short gathers, and the sendv_batches/sendv_segments proof counters.
-// Plus: the coalesced-string fallback for transports without sendv, and
-// the drained-outbox capacity release satellite.
+// Plus: a connection with no native gather, written through the base
+// Connection::try_sendv one segment at a time.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,24 +22,26 @@
 namespace spi::http {
 namespace {
 
-/// Delegates everything to a real TCP connection, but clamps each
-/// try_sendv gather to `cap` bytes and answers kWouldBlock on every
-/// block_every-th call (0 = never). With a level-triggered poller the
+/// Delegates everything to a real TCP connection, but clamps each write
+/// to `cap` bytes and answers kWouldBlock on every block_every-th gather
+/// (0 = never). With `gathers` false it has no gather of its own: the base
+/// Connection::try_sendv sends one segment per call through try_send. With a level-triggered poller the
 /// socket stays writable, so each synthetic kWouldBlock exercises the
 /// arm-write-interest / retry-on-readiness cycle without stalling.
 class ShortWriteConnection : public net::Connection {
  public:
   struct Counters {
     std::atomic<std::uint64_t> sendv_calls{0};
+    std::atomic<std::uint64_t> send_calls{0};
     std::atomic<std::uint64_t> synthetic_blocks{0};
   };
 
   ShortWriteConnection(std::unique_ptr<net::Connection> inner, size_t cap,
-                       int block_every, bool vectored, Counters& counters)
+                       int block_every, bool gathers, Counters& counters)
       : inner_(std::move(inner)),
         cap_(cap),
         block_every_(block_every),
-        vectored_(vectored),
+        gathers_(gathers),
         counters_(counters) {}
 
   Status send(std::string_view bytes) override { return inner_->send(bytes); }
@@ -59,12 +61,13 @@ class ShortWriteConnection : public net::Connection {
     return inner_->try_receive(max_bytes);
   }
   Result<size_t> try_send(std::string_view bytes) override {
+    counters_.send_calls.fetch_add(1, std::memory_order_relaxed);
     return inner_->try_send(bytes.substr(0, cap_));
   }
 
-  bool supports_sendv() const override { return vectored_; }
   Result<size_t> try_sendv(const net::ConstBuffer* segments,
                            size_t count) override {
+    if (!gathers_) return net::Connection::try_sendv(segments, count);
     const auto call =
         counters_.sendv_calls.fetch_add(1, std::memory_order_relaxed) + 1;
     if (block_every_ > 0 && call % block_every_ == 0) {
@@ -88,7 +91,7 @@ class ShortWriteConnection : public net::Connection {
   std::unique_ptr<net::Connection> inner_;
   const size_t cap_;
   const int block_every_;
-  const bool vectored_;
+  const bool gathers_;
   Counters& counters_;
 };
 
@@ -97,7 +100,7 @@ class ShortWriteTransport : public net::Transport {
   struct Config {
     size_t cap = 7;
     int block_every = 0;
-    bool vectored = true;
+    bool gathers = true;
   };
 
   explicit ShortWriteTransport(Config config) : config_(config) {}
@@ -145,7 +148,7 @@ class ShortWriteTransport : public net::Transport {
       return Result<std::unique_ptr<net::Connection>>(
           std::make_unique<ShortWriteConnection>(
               std::move(accepted.value()), owner_.config_.cap,
-              owner_.config_.block_every, owner_.config_.vectored,
+              owner_.config_.block_every, owner_.config_.gathers,
               owner_.counters));
     }
 
@@ -256,39 +259,33 @@ TEST(SendvTest, PipelinedResponsesStayOrderedUnderShortWrites) {
   EXPECT_EQ(server->requests_served(), 2u);
 }
 
-TEST(SendvTest, NonVectoredTransportFallsBackToCoalescedOutbox) {
-  // supports_sendv() == false: the connection must take the coalesced
-  // string-outbox path (and still respect the short-write cap on
-  // try_send), with the sendv counters untouched.
+TEST(SendvTest, NonGatheringTransportWritesThroughBaseTrySendv) {
+  // No gather of its own: the outbox's try_sendv lands in the base
+  // Connection::try_sendv, which sends only the first segment, through
+  // try_send, capped at 53 bytes. Two pipelined responses must still come
+  // back intact and in order.
   ShortWriteTransport transport({.cap = 53, .block_every = 0,
-                                 .vectored = false});
+                                 .gathers = false});
   auto server = make_server(transport);
 
-  std::string body(2 * 1024, 'y');
   net::TcpTransport client_side;
-  HttpClient client(client_side, server->endpoint());
-  auto response = client.post("/svc", body);
-  ASSERT_TRUE(response.ok()) << response.error().to_string();
-  EXPECT_EQ(response.value().body, "echo:" + body);
-  EXPECT_EQ(server->sendv_batches(), 0u);
+  auto connection = client_side.connect(server->endpoint());
+  ASSERT_TRUE(connection.ok());
+  Request a, b;
+  a.target = b.target = "/svc";
+  a.body = std::string(2 * 1024, 'y');
+  b.body = std::string(1024, 'z');
+  ASSERT_TRUE(connection.value()->send(a.serialize() + b.serialize()).ok());
+  auto responses = receive_responses(*connection.value(), 2);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].body, "echo:" + a.body);
+  EXPECT_EQ(responses[1].body, "echo:" + b.body);
+
+  server->stop();
+  // Every write was one segment's try_send, at most 53 bytes each.
   EXPECT_EQ(transport.counters.sendv_calls.load(), 0u);
-}
-
-TEST(SendvTest, ShrinkDrainedOutboxReleasesLargeCapacity) {
-  std::string outbox;
-  outbox.resize(1 << 20);
-  detail::shrink_drained_outbox(outbox, 64 * 1024);
-  EXPECT_TRUE(outbox.empty());
-  EXPECT_LT(outbox.capacity(), size_t{1} << 20);
-
-  // Small buffers keep their capacity: the retain cap exists so the
-  // steady-state path never churns the allocator.
-  std::string small;
-  small.resize(1024);
-  const size_t kept = small.capacity();
-  detail::shrink_drained_outbox(small, 64 * 1024);
-  EXPECT_TRUE(small.empty());
-  EXPECT_EQ(small.capacity(), kept);
+  EXPECT_GT(server->sendv_batches(), (a.body.size() + b.body.size()) / 53);
+  EXPECT_LE(server->sendv_batches(), transport.counters.send_calls.load());
 }
 
 }  // namespace

@@ -2,22 +2,29 @@
 // with partial-batch re-pack (only failed sub-calls replayed, proven by
 // server-side execution counters), idempotency gating, circuit-breaker
 // fast-fail and half-open recovery, and seeded chaos runs driven by the
-// SPI_CHAOS_FAULT / SPI_CHAOS_SEED environment (the CI chaos matrix).
+// SPI_CHAOS_FAULT / SPI_CHAOS_SEED environment (the CI chaos matrix). The
+// ladder cases run again on both drivers of the one retry/re-pack ladder
+// (ResilienceE2eDriversTest), which must agree.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 
 #include "benchsupport/workload.hpp"
+#include "codec/bxml.hpp"
 #include "common/clock.hpp"
+#include "concurrency/reactor.hpp"
 #include "core/client.hpp"
 #include "core/params.hpp"
 #include "core/server.hpp"
+#include "http/async_client.hpp"
 #include "http/message.hpp"
 #include "net/faulty_transport.hpp"
 #include "net/sim_transport.hpp"
+#include "net/tcp_transport.hpp"
 #include "resilience/circuit_breaker.hpp"
 #include "services/echo.hpp"
 #include "soap/envelope.hpp"
@@ -85,15 +92,20 @@ class ResilienceE2eTest : public ::testing::Test {
     EXPECT_EQ(outcome.value().as_string(), "probe");
   }
 
-  /// POSTs a raw envelope and reads the full HTTP response (connection
-  /// closed by the server). Bypasses SpiClient so expired deadlines reach
-  /// the server instead of being failed client-side.
-  std::string raw_post(std::string body) {
+  /// POSTs a raw envelope, labelled with `content_encoding` when one is
+  /// given, and reads the full HTTP response (connection closed by the
+  /// server). Bypasses SpiClient so expired deadlines reach the server
+  /// instead of being failed client-side.
+  std::string raw_post(std::string body,
+                       std::string_view content_encoding = {}) {
     http::Request request;
     request.method = "POST";
     request.target = "/spi";
     request.headers.set("Content-Type", "text/xml");
     request.headers.set("Connection", "close");
+    if (!content_encoding.empty()) {
+      request.headers.set("Content-Encoding", content_encoding);
+    }
     request.body = std::move(body);
     auto connection = inner_.connect(server_->endpoint());
     EXPECT_TRUE(connection.ok());
@@ -126,6 +138,24 @@ TEST_F(ResilienceE2eTest, ExpiredDeadlineIsShedBeforeParse) {
       {"<spi:Deadline><spi:RemainingUs>-5000</spi:RemainingUs>"
        "</spi:Deadline>"});
   std::string response = raw_post(std::move(envelope));
+  EXPECT_NE(response.find("504"), std::string::npos) << response;
+  EXPECT_NE(response.find("DeadlineExceeded"), std::string::npos) << response;
+  EXPECT_EQ(server_->stats().deadline_shed_pre_parse, 1u);
+  EXPECT_EQ(server_->stats().dispatcher.deadline_shed, 0u)
+      << "shed before parse, not at execute";
+  expect_server_still_healthy();
+}
+
+TEST_F(ResilienceE2eTest, ExpiredDeadlineIsShedBeforeParseUnderBxml) {
+  // A bxml body is decoded to text at the edge, so the same pre-parse scan
+  // sheds it before the parse stage.
+  codec::BxmlCodec bxml;
+  auto wire = bxml.encode(soap::build_envelope(
+      "<spi:Echo/>",
+      {"<spi:Deadline><spi:RemainingUs>-5000</spi:RemainingUs>"
+       "</spi:Deadline>"}));
+  ASSERT_TRUE(wire.ok()) << wire.error().to_string();
+  std::string response = raw_post(std::move(wire).value(), "bxml");
   EXPECT_NE(response.find("504"), std::string::npos) << response;
   EXPECT_NE(response.find("DeadlineExceeded"), std::string::npos) << response;
   EXPECT_EQ(server_->stats().deadline_shed_pre_parse, 1u);
@@ -400,6 +430,283 @@ TEST_F(ResilienceE2eTest, OnePercentSeverMeetsTheGoodputBar) {
                    static_cast<double>(kMessages * kCallsPerMessage);
   EXPECT_GE(success, 0.999) << "ok=" << ok;
   expect_server_still_healthy();
+}
+
+// --- the ladder on both drivers ---------------------------------------------
+// One retry/re-pack ladder, two drivers: blocking (HttpClient over
+// SimTransport, the server on its blocking driver) and async
+// (AsyncHttpClient over loopback TCP, the server on its reactor driver).
+// Each case runs the same FaultyTransport plan and handlers on both, and
+// the drivers must agree on every outcome, the server-side run counts,
+// retries, partial re-packs and breaker fast-fails.
+//
+// Left on the blocking driver alone: the two seeded chaos goodput cases.
+// The async client keeps connections alive and a FaultPlan draws its
+// faults per connection, so the same seed and rate would fault far fewer
+// messages there; the goodput bars are set for a connection per message.
+
+enum class Driver { kBlocking, kAsync };
+constexpr Driver kDrivers[] = {Driver::kBlocking, Driver::kAsync};
+
+/// What one driver made of a case.
+struct LadderRun {
+  std::vector<CallOutcome> outcomes;
+  int ok_runs = 0;
+  int flaky_runs = 0;
+  int mutate_runs = 0;
+  SpiClient::Stats stats;
+};
+
+class ResilienceE2eDriversTest : public ResilienceE2eTest {
+ protected:
+  void SetUp() override {
+    ResilienceE2eTest::SetUp();
+    tcp_server_ = std::make_unique<SpiServer>(
+        tcp_, net::Endpoint{"127.0.0.1", 0}, registry_);
+    ASSERT_TRUE(tcp_server_->start().ok());
+    ASSERT_TRUE(tcp_server_->http_server().reactor_mode());
+    reactor_.start();
+  }
+
+  void TearDown() override { tcp_server_->stop(); }
+
+  /// A client on `driver` whose connections go through a fresh
+  /// FaultyTransport with `plan`. Members die in reverse: the client waits
+  /// out its exchanges before the async runtime shuts down.
+  struct Rig {
+    std::unique_ptr<FaultyTransport> faulty;
+    std::unique_ptr<http::AsyncHttpClient> async;
+    std::unique_ptr<SpiClient> client;
+  };
+
+  /// Runs `scenario` on `driver` with the handlers' counters reset.
+  LadderRun run_on(
+      Driver driver, const FaultPlan& plan, ClientOptions options,
+      const std::function<std::vector<CallOutcome>(SpiClient&)>& scenario) {
+    ok_runs_ = 0;
+    flaky_runs_ = 0;
+    mutate_runs_ = 0;
+    flaky_failures_left_ = 1;
+    Rig rig;
+    net::Endpoint server = server_->endpoint();
+    if (driver == Driver::kBlocking) {
+      rig.faulty = std::make_unique<FaultyTransport>(inner_, plan);
+    } else {
+      rig.faulty = std::make_unique<FaultyTransport>(tcp_, plan);
+      rig.async = std::make_unique<http::AsyncHttpClient>(reactor_,
+                                                          *rig.faulty);
+      options.async_client = rig.async.get();
+      server = tcp_server_->endpoint();
+    }
+    rig.client =
+        std::make_unique<SpiClient>(*rig.faulty, server, std::move(options));
+    LadderRun run;
+    run.outcomes = scenario(*rig.client);
+    run.stats = rig.client->stats();
+    run.ok_runs = ok_runs_.load();
+    run.flaky_runs = flaky_runs_.load();
+    run.mutate_runs = mutate_runs_.load();
+    return run;
+  }
+
+  /// The case on both drivers; returns the blocking run once the async
+  /// run has matched it.
+  LadderRun on_both_drivers(
+      const FaultPlan& plan, const ClientOptions& options,
+      const std::function<std::vector<CallOutcome>(SpiClient&)>& scenario) {
+    LadderRun blocking = run_on(Driver::kBlocking, plan, options, scenario);
+    LadderRun async = run_on(Driver::kAsync, plan, options, scenario);
+    expect_same(blocking, async);
+    return blocking;
+  }
+
+  static void expect_same(const LadderRun& blocking, const LadderRun& async) {
+    ASSERT_EQ(blocking.outcomes.size(), async.outcomes.size());
+    for (size_t i = 0; i < blocking.outcomes.size(); ++i) {
+      const CallOutcome& b = blocking.outcomes[i];
+      const CallOutcome& a = async.outcomes[i];
+      ASSERT_EQ(b.ok(), a.ok()) << "outcome " << i << ": blocking "
+                                << (b.ok() ? "ok" : b.error().to_string())
+                                << ", async "
+                                << (a.ok() ? "ok" : a.error().to_string());
+      if (b.ok()) {
+        EXPECT_EQ(b.value(), a.value()) << "outcome " << i;
+      } else {
+        EXPECT_EQ(b.error().code(), a.error().code()) << "outcome " << i;
+      }
+    }
+    EXPECT_EQ(blocking.ok_runs, async.ok_runs);
+    EXPECT_EQ(blocking.flaky_runs, async.flaky_runs);
+    EXPECT_EQ(blocking.mutate_runs, async.mutate_runs);
+    EXPECT_EQ(blocking.stats.retries, async.stats.retries);
+    EXPECT_EQ(blocking.stats.partial_repacks, async.stats.partial_repacks);
+    EXPECT_EQ(blocking.stats.breaker_fast_fails,
+              async.stats.breaker_fast_fails);
+  }
+
+  /// Sends `calls` as one exchange: packed, or traditional for one call.
+  static std::function<std::vector<CallOutcome>(SpiClient&)> one_exchange(
+      std::vector<ServiceCall> calls, PackMode mode) {
+    return [calls = std::move(calls), mode](SpiClient& client) {
+      return client.call_packed(calls, mode);
+    };
+  }
+
+  static std::vector<ServiceCall> echo_x() {
+    return {make_call("EchoService", "Echo", {{"data", Value("x")}})};
+  }
+
+  net::TcpTransport tcp_;
+  std::unique_ptr<SpiServer> tcp_server_;
+  Reactor reactor_;
+};
+
+TEST_F(ResilienceE2eDriversTest, RefusedConnectsAreRetriedToSuccess) {
+  FaultPlan plan;
+  plan.refuse_connects = 2;
+  LadderRun run = on_both_drivers(
+      plan, retrying_options(4), one_exchange(echo_x(), PackMode::kSingle));
+  ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].error().to_string();
+  EXPECT_EQ(run.outcomes[0].value().as_string(), "x");
+  EXPECT_EQ(run.stats.retries, 2u);
+}
+
+TEST_F(ResilienceE2eDriversTest,
+       NonIdempotentOperationIsNeverRetriedAfterWrite) {
+  FaultPlan plan;
+  plan.sever_after_bytes = 100;
+  LadderRun run = on_both_drivers(
+      plan, retrying_options(4),
+      one_exchange({make_call("CountService", "Mutate", {})},
+                   PackMode::kSingle));
+  ASSERT_FALSE(run.outcomes[0].ok());
+  EXPECT_EQ(run.outcomes[0].error().code(), ErrorCode::kConnectionClosed);
+  EXPECT_EQ(run.stats.retries, 0u);
+  EXPECT_EQ(run.mutate_runs, 0);
+}
+
+TEST_F(ResilienceE2eDriversTest, SameSeverIsRetriedWhenIdempotent) {
+  FaultPlan plan;
+  plan.sever_after_bytes = 100;
+  LadderRun run = on_both_drivers(
+      plan, retrying_options(3), one_exchange(echo_x(), PackMode::kSingle));
+  ASSERT_FALSE(run.outcomes[0].ok());
+  EXPECT_EQ(run.stats.retries, 2u);
+}
+
+TEST_F(ResilienceE2eDriversTest, OnlyFailedSubCallsAreReplayed) {
+  LadderRun run = on_both_drivers(
+      FaultPlan{}, retrying_options(3),
+      one_exchange({make_call("CountService", "Ok", {}),
+                    make_call("CountService", "Flaky", {}),
+                    make_call("CountService", "Ok", {})},
+                   PackMode::kPacked));
+  ASSERT_EQ(run.outcomes.size(), 3u);
+  for (const auto& outcome : run.outcomes) {
+    EXPECT_TRUE(outcome.ok()) << outcome.error().to_string();
+  }
+  EXPECT_EQ(run.ok_runs, 2);
+  EXPECT_EQ(run.flaky_runs, 2);
+  EXPECT_EQ(run.stats.partial_repacks, 1u);
+  EXPECT_EQ(run.stats.retries, 1u);
+}
+
+TEST_F(ResilienceE2eDriversTest, SingleCallBatchRepackDegenerate) {
+  LadderRun run = on_both_drivers(
+      FaultPlan{}, retrying_options(3),
+      one_exchange({make_call("CountService", "Flaky", {})},
+                   PackMode::kPacked));
+  ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].error().to_string();
+  EXPECT_EQ(run.flaky_runs, 2);
+  EXPECT_EQ(run.stats.partial_repacks, 1u);
+}
+
+TEST_F(ResilienceE2eDriversTest, TraditionalSingleCallIsAlsoReplayed) {
+  LadderRun run = on_both_drivers(
+      FaultPlan{}, retrying_options(3),
+      one_exchange({make_call("CountService", "Flaky", {})},
+                   PackMode::kSingle));
+  ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].error().to_string();
+  EXPECT_EQ(run.outcomes[0].value().as_string(), "recovered");
+  EXPECT_EQ(run.flaky_runs, 2);
+}
+
+TEST_F(ResilienceE2eDriversTest, TerminalFaultsAreNotReplayed) {
+  LadderRun run = on_both_drivers(
+      FaultPlan{}, retrying_options(3),
+      one_exchange({make_call("CountService", "Ok", {}),
+                    make_call("NoSuchService", "Nope", {})},
+                   PackMode::kPacked));
+  ASSERT_EQ(run.outcomes.size(), 2u);
+  EXPECT_TRUE(run.outcomes[0].ok());
+  EXPECT_FALSE(run.outcomes[1].ok());
+  EXPECT_EQ(run.stats.partial_repacks, 0u);
+  EXPECT_EQ(run.ok_runs, 1);
+}
+
+TEST_F(ResilienceE2eDriversTest, BreakerOpensFailsFastAndRecovers) {
+  // Each driver gets its own breaker set on its own manual clock. The
+  // under-a-millisecond bound of the blocking case is not asserted here:
+  // the async fast-fail also crosses to the loop thread and back. The
+  // fast-fail count proves no connect was attempted.
+  FaultPlan plan;
+  plan.refuse_connects = 2;
+  resilience::CircuitBreakerOptions breaker_options;
+  breaker_options.window_size = 4;
+  breaker_options.min_samples = 2;
+  breaker_options.failure_ratio = 0.5;
+  breaker_options.open_cooldown = std::chrono::milliseconds(100);
+  LadderRun runs[2];
+  for (Driver driver : kDrivers) {
+    ManualClock breaker_clock;
+    resilience::CircuitBreakerSet breakers(breaker_options, breaker_clock);
+    ClientOptions options;
+    options.breakers = &breakers;
+    runs[static_cast<int>(driver)] =
+        run_on(driver, plan, options, [&](SpiClient& client) {
+          std::vector<CallOutcome> outcomes;
+          auto once = [&] {
+            outcomes.push_back(
+                client.call_packed(echo_x(), PackMode::kSingle).front());
+          };
+          once();  // refused
+          once();  // refused: the breaker opens
+          EXPECT_EQ(breakers.for_endpoint(client.server()).state(),
+                    resilience::BreakerState::kOpen);
+          once();  // fails fast
+          breaker_clock.advance(std::chrono::milliseconds(150));
+          once();  // the half-open probe closes it
+          EXPECT_EQ(breakers.for_endpoint(client.server()).state(),
+                    resilience::BreakerState::kClosed);
+          once();
+          return outcomes;
+        });
+  }
+  expect_same(runs[0], runs[1]);
+  const LadderRun& run = runs[0];
+  ASSERT_EQ(run.outcomes.size(), 5u);
+  EXPECT_EQ(run.outcomes[0].error().code(), ErrorCode::kConnectionFailed);
+  EXPECT_EQ(run.outcomes[1].error().code(), ErrorCode::kConnectionFailed);
+  EXPECT_EQ(run.outcomes[2].error().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(run.stats.breaker_fast_fails, 1u);
+  EXPECT_TRUE(run.outcomes[3].ok());
+  EXPECT_TRUE(run.outcomes[4].ok());
+}
+
+TEST_F(ResilienceE2eDriversTest, ClientFailsFastWhenDeadlineAlreadySpent) {
+  const ClientOptions options;
+  LadderRun run =
+      on_both_drivers(FaultPlan{}, options, [](SpiClient& client) {
+        const resilience::Deadline spent =
+            resilience::Deadline::after(std::chrono::milliseconds(-5));
+        resilience::DeadlineScope scope(spent);
+        Stopwatch stopwatch;
+        auto outcomes = client.call_packed(echo_x(), PackMode::kSingle);
+        EXPECT_LT(stopwatch.elapsed_ms(), 50.0);
+        return outcomes;
+      });
+  ASSERT_FALSE(run.outcomes[0].ok());
+  EXPECT_EQ(run.outcomes[0].error().code(), ErrorCode::kDeadlineExceeded);
 }
 
 }  // namespace
